@@ -409,15 +409,94 @@ impl EventStream {
     }
 
     /// Downscales the spatial resolution by an integer factor, merging events
-    /// that land on the same coarse pixel within the same timestep.
+    /// that land on the same coarse pixel within the same timestep: of each
+    /// such group, the first spike in insertion order survives, at its
+    /// insertion position. Non-spike operations pass through unchanged.
+    ///
+    /// The merge visits the spikes timestep by timestep (a stable sort of
+    /// their indices by `t`, linear for time-ordered streams) and marks each
+    /// coarse `(ch, y, x)` cell with the number of the timestep group that
+    /// last claimed it, so no per-timestep clearing and no hashing is needed.
     #[must_use]
     pub fn downscale(&self, factor: u16) -> EventStream {
         let factor = factor.max(1);
-        let geometry = Geometry {
+        let geometry = self.downscaled_geometry(factor);
+        let width = usize::from(geometry.width);
+        let height = usize::from(geometry.height);
+        // Per-axis coarse coordinates, tabulated once: no division per
+        // event (coordinates past the stream's own extent still divide).
+        let axis = |extent: u16, coarse_extent: u16| -> Vec<u16> {
+            (0..extent)
+                .map(|v| (v / factor).min(coarse_extent - 1))
+                .collect()
+        };
+        let xs = axis(self.geometry.width, geometry.width);
+        let ys = axis(self.geometry.height, geometry.height);
+        let coarse = |e: &Event| {
+            let x = xs.get(usize::from(e.x)).copied();
+            let y = ys.get(usize::from(e.y)).copied();
+            (
+                x.unwrap_or_else(|| (e.x / factor).min(geometry.width - 1)),
+                y.unwrap_or_else(|| (e.y / factor).min(geometry.height - 1)),
+            )
+        };
+        let mut order: Vec<usize> = Vec::with_capacity(self.events.len());
+        let mut channels = usize::from(geometry.channels);
+        for (i, e) in self.events.iter().enumerate() {
+            if e.is_spike() {
+                order.push(i);
+                channels = channels.max(usize::from(e.ch) + 1);
+            }
+        }
+        order.sort_by_key(|&i| self.events[i].t);
+        let mut keep = vec![false; self.events.len()];
+        let mut stamps = vec![0u32; channels * height * width];
+        let mut group = 0u32;
+        let mut group_t = None;
+        let mut kept = 0usize;
+        for &i in &order {
+            let e = &self.events[i];
+            if group_t != Some(e.t) {
+                group_t = Some(e.t);
+                group += 1;
+            }
+            let (x, y) = coarse(e);
+            let cell = (usize::from(e.ch) * height + usize::from(y)) * width + usize::from(x);
+            if stamps[cell] != group {
+                stamps[cell] = group;
+                keep[i] = true;
+                kept += 1;
+            }
+        }
+        let mut out = EventStream::with_geometry(geometry);
+        out.events.reserve(self.events.len() - order.len() + kept);
+        for (e, &survives) in self.events.iter().zip(&keep) {
+            if !e.is_spike() {
+                out.events.push(*e);
+            } else if survives {
+                let (x, y) = coarse(e);
+                out.events.push(Event { x, y, ..*e });
+            }
+        }
+        out
+    }
+
+    /// The geometry [`EventStream::downscale`] produces for `factor` (at
+    /// least 1 per axis).
+    fn downscaled_geometry(&self, factor: u16) -> Geometry {
+        Geometry {
             width: (self.geometry.width / factor).max(1),
             height: (self.geometry.height / factor).max(1),
             ..self.geometry
-        };
+        }
+    }
+
+    /// The original `HashSet` formulation of [`EventStream::downscale`], kept
+    /// as the reference the stamp-array version is tested against.
+    #[cfg(test)]
+    fn downscale_reference(&self, factor: u16) -> EventStream {
+        let factor = factor.max(1);
+        let geometry = self.downscaled_geometry(factor);
         let mut out = EventStream::with_geometry(geometry);
         let mut seen = std::collections::HashSet::new();
         for e in &self.events {
@@ -655,6 +734,38 @@ mod tests {
         let d = s.downscale(2);
         assert_eq!(d.geometry().width, 4);
         assert_eq!(d.spike_count(), 2);
+    }
+
+    proptest::proptest! {
+        /// The stamp-array `downscale` is byte-identical to the `HashSet`
+        /// reference: unsorted streams, duplicate (t, ch, x, y) spikes,
+        /// interleaved non-spike ops, and factors 1-4 over sizes they do not
+        /// divide.
+        #[test]
+        fn downscale_matches_the_hashset_reference(
+            size in (1u16..11, 1u16..11, 1u16..4, 1u32..7),
+            factor in 1u16..5,
+            ops in proptest::collection::vec((0u8..8, 0u32..7, 0u16..4, 0u16..11, 0u16..11), 0..160),
+            repeat in 0u8..2,
+        ) {
+            let (width, height, channels, timesteps) = size;
+            let mut s = EventStream::new(width, height, channels, timesteps);
+            for (kind, t, ch, x, y) in ops {
+                let t = t % timesteps;
+                s.push(match kind {
+                    0 => Event::fire(t),
+                    1 => Event::reset(t),
+                    _ => Event::update(t, ch % channels, x % width, y % height),
+                })
+                .unwrap();
+            }
+            if repeat == 1 {
+                // Every spike again, in reverse: exact duplicates out of order.
+                let again: Vec<Event> = s.iter().rev().copied().collect();
+                s.extend(again);
+            }
+            proptest::prop_assert_eq!(s.downscale(factor), s.downscale_reference(factor));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::config::SneConfig;
 use crate::exec::ExecStrategy;
 use crate::mapping::LayerMapping;
 use crate::memory::MemoryModel;
-use crate::plan::{EventRow, LayerPlan};
+use crate::plan::{EventRow, LayerPlan, StencilTable};
 use crate::regfile::{Register, RegisterFile};
 use crate::simd::Kernel;
 use crate::slice::Slice;
@@ -81,6 +81,9 @@ pub struct Engine {
     /// input chunk in place, so steady-state streaming does not reallocate
     /// it.
     op_scratch: Vec<Event>,
+    /// Reusable per-run stencil table of the planned datapath (rebuilt by
+    /// every planned run on the blocked kernel, capacity kept).
+    stencil_scratch: StencilTable,
 }
 
 impl Engine {
@@ -127,6 +130,7 @@ impl Engine {
             kernel: Kernel::auto(),
             config_validated: false,
             op_scratch: Vec::new(),
+            stencil_scratch: StencilTable::default(),
             config,
         }
     }
@@ -391,9 +395,18 @@ impl Engine {
                 .map(|op| p.event_row(op))
                 .collect()
         });
+        // On the blocked kernel, also resolve each conv event's in-plane
+        // kernel rows once per run: the slices then walk whole planes per
+        // event instead of one span per (output channel, kernel row).
+        let mut stencils = std::mem::take(&mut self.stencil_scratch);
+        let stencil_rows = event_rows
+            .as_deref()
+            .filter(|_| self.kernel == Kernel::Blocked);
+        stencils.build(stencil_rows.unwrap_or(&[]), self.config.neurons_per_cluster);
         let ctx = WorkerContext {
             mapping,
             rows: event_rows.as_deref(),
+            stencils: &stencils,
             ops: &op_sequence,
             params: mapping.params(),
             clock_gating: self.config.clock_gating,
@@ -473,7 +486,8 @@ impl Engine {
             );
         }
 
-        // Hand the op-sequence buffer back for the next run.
+        // Hand the scratch buffers back for the next run.
+        self.stencil_scratch = stencils;
         self.op_scratch = op_sequence;
 
         // Model the output DMA.

@@ -99,6 +99,107 @@ pub enum EventRow<'a> {
     },
 }
 
+/// One kernel row of a convolution event, resolved in-plane against the
+/// engine's cluster size (see [`StencilTable`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StencilRow {
+    /// In-plane index of the row's lowest neuron (the same in every output
+    /// channel's plane).
+    pub start: u32,
+    /// The cluster holding the whole row, counted from the plane's first
+    /// cluster.
+    pub cluster: u32,
+}
+
+/// Where one `UPDATE_OP`'s rows sit in a [`StencilTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stencil {
+    /// Index of the event's first row in [`StencilTable::rows`]; the event
+    /// has [`EventRow::Conv::rows_per_oc`] rows.
+    pub first: u32,
+    /// Distinct clusters the rows touch within one plane; 0 when the event
+    /// has no stencil (a row straddles a cluster boundary, or the event is
+    /// not a convolution).
+    pub clusters: u32,
+}
+
+/// The stencils of one run's `UPDATE_OP`s: each event's kernel rows resolved
+/// once to their in-plane start and cluster, so the fused slice datapath can
+/// walk a slice's whole output-channel planes at stride `plane` instead of
+/// one span per (output channel, kernel row).
+///
+/// A stencil is exact only where every plane is a whole number of clusters
+/// (`plane % neurons_per_cluster == 0`): then a row's cluster within its
+/// plane is the same for every output channel, and the clusters an event
+/// touches in one plane are the distinct clusters of its rows. The table
+/// stays empty otherwise, and for dense layers.
+#[derive(Debug, Clone, Default)]
+pub struct StencilTable {
+    /// One entry per `UPDATE_OP` of the run, in op order (empty when no
+    /// stencil applies to the layer).
+    pub events: Vec<Stencil>,
+    /// Every event's rows back to back, in the plan's row order (descending
+    /// neuron address, so equal clusters are adjacent).
+    pub rows: Vec<StencilRow>,
+}
+
+impl StencilTable {
+    /// Rebuilds the table for `rows` (one run's resolved event rows) on
+    /// clusters of `neurons_per_cluster` neurons, keeping the capacity.
+    pub fn build(&mut self, rows: &[EventRow<'_>], neurons_per_cluster: usize) {
+        self.events.clear();
+        self.rows.clear();
+        let whole_clusters = matches!(
+            rows.first(),
+            Some(EventRow::Conv { plane, .. }) if plane % neurons_per_cluster == 0
+        );
+        if !whole_clusters {
+            return;
+        }
+        self.events.reserve(rows.len());
+        for row in rows {
+            let EventRow::Conv {
+                row_offsets,
+                rows_per_oc,
+                taps_per_row,
+                event_base,
+                ..
+            } = *row
+            else {
+                self.events.push(Stencil::default());
+                continue;
+            };
+            let first = self.rows.len();
+            let mut clusters = 0u32;
+            // Output channel 0's spans: its plane starts at neuron 0, so the
+            // span offsets are in-plane offsets.
+            for &offset in &row_offsets[..rows_per_oc] {
+                let start = (event_base + i64::from(offset)) as usize;
+                let cluster = start / neurons_per_cluster;
+                if start % neurons_per_cluster + taps_per_row > neurons_per_cluster {
+                    // The row straddles a cluster boundary: span walk.
+                    clusters = 0;
+                    break;
+                }
+                let previous = self.rows[first..].last().map(|p| p.cluster as usize);
+                debug_assert!(previous.unwrap_or(cluster) >= cluster);
+                clusters += u32::from(previous != Some(cluster));
+                self.rows.push(StencilRow {
+                    start: start as u32,
+                    cluster: cluster as u32,
+                });
+            }
+            if clusters == 0 {
+                self.rows.truncate(first);
+            }
+            self.events.push(Stencil {
+                first: first as u32,
+                clusters,
+            });
+        }
+    }
+}
+
 /// The span table of one border class — shared by every input channel (the
 /// offsets and pool-relative starts do not depend on the channel).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -730,6 +831,61 @@ mod tests {
         let dense_twin = dense(MapShape::new(1, 4, 4), 2, 1);
         assert!(!plan.matches(&dense_twin));
         assert!(!plan.matches_geometry(&dense_twin));
+    }
+
+    #[test]
+    fn stencils_resolve_in_plane_rows_and_reject_straddles() {
+        let resolve = |mapping: &LayerMapping, events: &[Event], npc: usize| {
+            let plan = LayerPlan::build(mapping);
+            let rows: Vec<EventRow<'_>> = events.iter().map(|e| plan.event_row(e)).collect();
+            let mut table = StencilTable::default();
+            table.build(&rows, npc);
+            table
+        };
+        let row = |start, cluster| StencilRow { start, cluster };
+
+        // 4x4 planes, 8-neuron clusters (two image rows each): the event at
+        // (x 1, y 1) has rows at y 2, 1, 0 starting one column left of it.
+        let four = conv(MapShape::new(1, 4, 4), 2, 3, 1);
+        let table = resolve(&four, &[Event::update(0, 0, 1, 1)], 8);
+        assert_eq!(
+            table.events[0],
+            Stencil {
+                first: 0,
+                clusters: 2
+            }
+        );
+        assert_eq!(table.rows, [row(8, 1), row(4, 0), row(0, 0)]);
+
+        // Width 6: the row at y 1 covers neurons 6..9 and straddles the
+        // cluster boundary at 8, so the event keeps the span walk; the
+        // plane (24) is still a whole number of clusters.
+        let six = conv(MapShape::new(1, 4, 6), 1, 3, 1);
+        let table = resolve(
+            &six,
+            &[Event::update(0, 0, 1, 1), Event::update(0, 0, 1, 3)],
+            8,
+        );
+        assert_eq!(table.events[0].clusters, 0);
+        assert_eq!(
+            table.events[1],
+            Stencil {
+                first: 0,
+                clusters: 2
+            }
+        );
+        assert_eq!(table.rows, [row(18, 2), row(12, 1)]); // y 4 is clipped
+
+        // Planes that are not a whole number of clusters, and dense layers,
+        // get no stencils at all.
+        let odd = conv(MapShape::new(1, 3, 5), 1, 3, 1);
+        assert!(resolve(&odd, &[Event::update(0, 0, 1, 1)], 8)
+            .events
+            .is_empty());
+        let fc = dense(MapShape::new(1, 4, 4), 8, 1);
+        assert!(resolve(&fc, &[Event::update(0, 0, 1, 1)], 8)
+            .events
+            .is_empty());
     }
 
     #[test]

@@ -32,6 +32,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::plan::StencilRow;
+
 /// Number of `i16` lanes one blocked step processes (one 128-bit SSE2
 /// vector).
 pub const BLOCK_LANES: usize = 8;
@@ -181,6 +183,58 @@ impl Kernel {
         }
     }
 
+    /// The stencil form of [`Kernel::accumulate_span_max`]: accumulates the
+    /// `taps`-wide kernel rows of one event in one output-channel plane that
+    /// all lie in **one cluster**, and folds their resulting states into
+    /// that cluster's `lanes`. Row `i` starts at membrane
+    /// `plane_start + rows[i].start` and takes the weights
+    /// `pool[weight_starts[i]..][..taps]`.
+    ///
+    /// The blocked path applies each row (up to [`BLOCK_LANES`] taps) as one
+    /// masked vector step and keeps the rows' running maximum in a register,
+    /// folding it into `lanes` once per call. Like the masked tail of
+    /// [`Kernel::accumulate_span_max`] it reads and rewrites, unchanged, up
+    /// to [`BLOCK_LANES`] lanes from each row start and reads that many
+    /// weight bytes, so `mem` and `pool` need that much room (the arena and
+    /// the plan's pool carry it as padding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row or its vector step exceeds `mem` or `pool`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn accumulate_rows_max(
+        self,
+        mem: &mut [i16],
+        plane_start: usize,
+        rows: &[StencilRow],
+        weight_starts: &[u32],
+        pool: &[i8],
+        taps: usize,
+        lanes: &mut [i16; BLOCK_LANES],
+    ) {
+        match self {
+            Self::Scalar => {
+                for (row, &start) in rows.iter().zip(weight_starts) {
+                    let at = plane_start + row.start as usize;
+                    let start = start as usize;
+                    let row_max =
+                        accumulate_span_scalar(&mut mem[at..at + taps], &pool[start..start + taps]);
+                    lanes[0] = lanes[0].max(row_max);
+                }
+            }
+            Self::Blocked => accumulate_rows_max_blocked(
+                mem,
+                plane_start,
+                rows,
+                weight_starts,
+                pool,
+                taps,
+                lanes,
+            ),
+        }
+    }
+
     /// Reduces a per-lane running maximum accumulated by
     /// [`Kernel::accumulate_span_max`] to the window maximum: the plain
     /// maximum over the [`BLOCK_LANES`] lanes, bit-identical across kernels
@@ -293,15 +347,14 @@ fn fire_walk_scalar(mem: &mut [i16], leak: i16, threshold: i16, out: &mut Vec<us
 #[cfg(not(target_arch = "x86_64"))]
 mod blocked {
     use super::BLOCK_LANES;
+    use crate::plan::StencilRow;
 
     /// Without a vector unit the blocked kernel *is* the scalar oracle.
-    #[inline]
     #[inline]
     pub(super) fn accumulate_span_blocked(mem: &mut [i16], start: usize, weights: &[i8]) -> i16 {
         super::accumulate_span_scalar(&mut mem[start..start + weights.len()], weights)
     }
 
-    #[inline]
     #[inline]
     pub(super) fn accumulate_span_max_blocked(
         mem: &mut [i16],
@@ -315,18 +368,36 @@ mod blocked {
     }
 
     #[inline]
+    pub(super) fn accumulate_rows_max_blocked(
+        mem: &mut [i16],
+        plane_start: usize,
+        rows: &[StencilRow],
+        weight_starts: &[u32],
+        pool: &[i8],
+        taps: usize,
+        lanes: &mut [i16; BLOCK_LANES],
+    ) {
+        super::Kernel::Scalar.accumulate_rows_max(
+            mem,
+            plane_start,
+            rows,
+            weight_starts,
+            pool,
+            taps,
+            lanes,
+        );
+    }
+
     #[inline]
     pub(super) fn reduce_lane_max_blocked(lanes: &[i16; BLOCK_LANES]) -> i16 {
         lanes.iter().copied().fold(i16::from(i8::MIN), i16::max)
     }
 
     #[inline]
-    #[inline]
     pub(super) fn apply_leak_blocked(mem: &mut [i16], leak_total: i32) {
         super::apply_leak_scalar(mem, leak_total);
     }
 
-    #[inline]
     #[inline]
     pub(super) fn fire_walk_blocked(
         mem: &mut [i16],
@@ -351,6 +422,7 @@ mod blocked {
     //! adds are exact.
 
     use super::BLOCK_LANES;
+    use crate::plan::StencilRow;
     use std::arch::x86_64::{
         __m128i, _mm_add_epi16, _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi16, _mm_loadl_epi64,
         _mm_loadu_si128, _mm_max_epi16, _mm_min_epi16, _mm_movemask_epi8, _mm_or_si128,
@@ -412,11 +484,12 @@ mod blocked {
         out[0]
     }
 
-    /// Per-tail-length lane masks: lane `i` is all-ones when `i < len`.
-    const TAIL_MASKS: [[i16; BLOCK_LANES]; BLOCK_LANES] = {
-        let mut masks = [[0i16; BLOCK_LANES]; BLOCK_LANES];
+    /// Per-length lane masks (`len` in `0..=BLOCK_LANES`): lane `i` is
+    /// all-ones when `i < len`.
+    const TAIL_MASKS: [[i16; BLOCK_LANES]; BLOCK_LANES + 1] = {
+        let mut masks = [[0i16; BLOCK_LANES]; BLOCK_LANES + 1];
         let mut len = 0;
-        while len < BLOCK_LANES {
+        while len <= BLOCK_LANES {
             let mut i = 0;
             while i < len {
                 masks[len][i] = -1;
@@ -545,6 +618,65 @@ mod blocked {
     }
 
     #[inline]
+    pub(super) fn accumulate_rows_max_blocked(
+        mem: &mut [i16],
+        plane_start: usize,
+        rows: &[StencilRow],
+        weight_starts: &[u32],
+        pool: &[i8],
+        taps: usize,
+        lanes: &mut [i16; BLOCK_LANES],
+    ) {
+        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
+        unsafe {
+            accumulate_rows_max_sse2(mem, plane_start, rows, weight_starts, pool, taps, lanes);
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn accumulate_rows_max_sse2(
+        mem: &mut [i16],
+        plane_start: usize,
+        rows: &[StencilRow],
+        weight_starts: &[u32],
+        pool: &[i8],
+        taps: usize,
+        lanes: &mut [i16; BLOCK_LANES],
+    ) {
+        if taps > BLOCK_LANES {
+            // Rows wider than one vector (kernels above 8): the span form.
+            for (row, &start) in rows.iter().zip(weight_starts) {
+                let at = plane_start + row.start as usize;
+                accumulate_span_max_sse2(mem, at, &pool[start as usize..], taps, lanes);
+            }
+            return;
+        }
+        // Lanes past the row get weight 0, so `clamp(state + 0) == state`
+        // rewrites them unchanged (membrane-range invariant); `cap` keeps
+        // them out of the maximum (`min(next, -128)` is the floor) and is
+        // the identity on the row's own lanes (`next <= 127`).
+        let mask = load8(&TAIL_MASKS[taps], 0);
+        let cap = _mm_or_si128(
+            _mm_and_si128(mask, _mm_set1_epi16(i16::from(i8::MAX))),
+            _mm_andnot_si128(mask, _mm_set1_epi16(i16::from(i8::MIN))),
+        );
+        let mut vmax = load8(lanes, 0);
+        for (row, &start) in rows.iter().zip(weight_starts) {
+            let at = plane_start + row.start as usize;
+            let states = &mut mem[at..at + BLOCK_LANES];
+            let weights = &pool[start as usize..start as usize + BLOCK_LANES];
+            // SAFETY: `weights` holds exactly the 8 bytes loaded.
+            let w = unsafe { _mm_loadl_epi64(weights.as_ptr().cast()) };
+            let wv = _mm_and_si128(widen_weights(w), mask);
+            let next = clamp_lanes(_mm_add_epi16(load8(states, 0), wv));
+            store8(states, 0, next);
+            vmax = _mm_max_epi16(vmax, _mm_min_epi16(next, cap));
+        }
+        store8(lanes, 0, vmax);
+    }
+
+    #[inline]
     pub(super) fn reduce_lane_max_blocked(lanes: &[i16; BLOCK_LANES]) -> i16 {
         // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
         unsafe { hmax(load8(lanes, 0)) }
@@ -639,8 +771,8 @@ mod blocked {
 }
 
 use blocked::{
-    accumulate_span_blocked, accumulate_span_max_blocked, apply_leak_blocked, fire_walk_blocked,
-    reduce_lane_max_blocked,
+    accumulate_rows_max_blocked, accumulate_span_blocked, accumulate_span_max_blocked,
+    apply_leak_blocked, fire_walk_blocked, reduce_lane_max_blocked,
 };
 
 #[cfg(test)]

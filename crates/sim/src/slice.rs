@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::{Cluster, ClusterState};
 use crate::config::SneConfig;
 use crate::mapping::{Contribution, LifHardwareParams};
-use crate::plan::EventRow;
+use crate::plan::{EventRow, Stencil, StencilRow};
 use crate::simd::{Kernel, BLOCK_LANES, LANE_FLOOR};
 
 /// Statistics of one `UPDATE_OP` processed by a slice.
@@ -366,6 +366,20 @@ impl Slice {
     /// The bound stays **exact**, never an overestimate: it decides
     /// fire-scan walk elision, which the persisted TLU state can observe.
     ///
+    /// **The stencil walk.** Where the slice's range covers whole
+    /// output-channel planes, the blocked kernel runs, and the event has a
+    /// [`Stencil`] (`stencils[i]` for `rows[i]`, rows in
+    /// `stencil_rows`; see [`crate::plan::StencilTable`]), the event skips
+    /// the per-span walk: it visits the slice's planes at stride `plane`,
+    /// opens each of the row clusters once, and applies each cluster's rows
+    /// in one [`Kernel::accumulate_rows_max`] call. The counts stay exact:
+    /// no row is clipped (whole planes), every row holds at least one tap,
+    /// and each plane's touched clusters are the stencil's distinct
+    /// clusters, so the event's active clusters are `clusters × planes`.
+    /// Events without a stencil (a row straddles a cluster boundary), ranges
+    /// that split a plane and the scalar kernel take the span walk, which
+    /// stays the oracle. An empty `stencils` disables the stencil walk.
+    ///
     /// Pushes one synaptic-ops entry per event into `update_ops` and returns
     /// the **aggregated** outcome of the block. Bit-identical to resolving
     /// every event through
@@ -373,9 +387,12 @@ impl Slice {
     /// and dispatching via [`Slice::process_update`]: same states, same
     /// counters, same totals (within one event window each neuron receives
     /// at most one contribution, so apply order cannot matter).
+    #[allow(clippy::too_many_arguments)]
     pub fn process_update_block_planned(
         &mut self,
         rows: &[EventRow<'_>],
+        stencils: &[Stencil],
+        stencil_rows: &[StencilRow],
         params: LifHardwareParams,
         clock_gating: bool,
         update_ops: &mut Vec<u64>,
@@ -391,11 +408,7 @@ impl Slice {
         let shift = self.cluster_shift;
         let kernel = self.kernel;
         let num_clusters = self.clusters.len() as u64;
-        let fire_epoch = self.fire_epoch;
         let mut epoch = self.epoch;
-        let clusters = &mut self.clusters[..];
-        let membranes = &mut self.membranes[..];
-        let touch_epoch = &mut self.touch_epoch[..];
         let cluster_of = |local: usize| match shift {
             Some(shift) => local >> shift,
             None => local / npc,
@@ -403,10 +416,11 @@ impl Slice {
         // The output-channel window of the slice range is a per-layer
         // constant (every row of a block belongs to the same layer), so the
         // two divisions behind it run once per block, not once per event.
-        // `(first output channel, last output channel, clamped range end)`,
-        // with `first > last` encoding an empty intersection.
-        let mut conv_channels: Option<(usize, usize, usize)> = None;
-        let nclusters = clusters.len();
+        // `(first output channel, last output channel, clamped range end,
+        // whether the stencil walk applies)`, with `first > last` encoding
+        // an empty intersection.
+        let mut conv_channels: Option<(usize, usize, usize, bool)> = None;
+        let nclusters = self.clusters.len();
         if scratch.mark.len() != nclusters {
             scratch.mark.clear();
             scratch.mark.resize(nclusters, 0);
@@ -420,23 +434,45 @@ impl Slice {
             scratch.mark.iter_mut().for_each(|m| *m = 0);
             scratch.block = 1;
         }
-        let block = scratch.block;
+        scratch.touched.clear();
         // Pin every per-cluster array to exactly `nclusters` entries and
         // clamp the computed cluster index below: together they let the
-        // compiler drop the bounds check from all five per-segment indexings
-        // of the hot walk (the clamp is dead — a span can only land inside
-        // the arena — but it is one `min` the optimizer can see).
-        let clusters = &mut clusters[..nclusters];
-        let touch_epoch = &mut touch_epoch[..nclusters];
+        // compiler drop the bounds check from the per-segment indexings of
+        // the hot walk (the clamp is dead — a span can only land inside the
+        // arena — but it is one `min` the optimizer can see).
+        let clusters = &mut self.clusters[..nclusters];
+        let touch_epoch = &mut self.touch_epoch[..nclusters];
+        let membranes = &mut self.membranes[..];
         let mark = &mut scratch.mark[..nclusters];
         let lanes = &mut scratch.lanes[..nclusters];
         let taps = &mut scratch.taps[..nclusters];
         let touched = &mut scratch.touched;
-        touched.clear();
-        let cluster_clamp = nclusters - 1;
+        let block = scratch.block;
+        let fire_epoch = self.fire_epoch;
         let mut dirty_count = self.dirty_count;
+        // Opens a cluster's window unless this block already did: resets
+        // its lane maximum and tap count, records it for the block-end
+        // close, and settles the cluster (owed skips, dirty count, owed
+        // leak) before anything accumulates into it.
+        macro_rules! open_window {
+            ($cluster_index:expr) => {
+                let cluster_index = $cluster_index;
+                if mark[cluster_index] != block {
+                    mark[cluster_index] = block;
+                    lanes[cluster_index] = LANE_FLOOR;
+                    taps[cluster_index] = 0;
+                    touched.push(cluster_index as u32);
+                    let cluster = &mut clusters[cluster_index];
+                    cluster.sync_skips(fire_epoch);
+                    dirty_count += u32::from(!cluster.is_dirty());
+                    let start = cluster_index * npc;
+                    cluster.open_window(&mut membranes[start..start + npc], params, kernel);
+                }
+            };
+        }
+        let cluster_clamp = nclusters - 1;
         let mut aggregate = UpdateOutcome::default();
-        for row in rows {
+        for (i, row) in rows.iter().enumerate() {
             epoch = epoch.wrapping_add(1);
             if epoch == 0 {
                 // Wrapped after 2^32 event windows: restart the epoch space.
@@ -458,15 +494,58 @@ impl Slice {
                 } => {
                     // Only the output channels whose planes intersect the
                     // range can contribute (the address filter).
-                    let (first_oc, last_oc, end) = *conv_channels.get_or_insert_with(|| {
-                        let end = range.end.min(total_neurons);
-                        if range.start < end {
-                            (range.start / plane, (end - 1) / plane, end)
-                        } else {
-                            (1, 0, end)
+                    let (first_oc, last_oc, end, whole_planes) =
+                        *conv_channels.get_or_insert_with(|| {
+                            let end = range.end.min(total_neurons);
+                            let whole_planes = kernel == Kernel::Blocked
+                                && plane % npc == 0
+                                && range.start % plane == 0
+                                && end % plane == 0;
+                            if range.start < end {
+                                (range.start / plane, (end - 1) / plane, end, whole_planes)
+                            } else {
+                                (1, 0, end, false)
+                            }
+                        });
+                    let stencil = stencils.get(i).filter(|s| whole_planes && s.clusters > 0);
+                    if let Some(stencil) = stencil {
+                        let event_rows = &stencil_rows[stencil.first as usize..][..rows_per_oc];
+                        let planes = (last_oc - first_oc + 1) as u64;
+                        // Rows descend in address, so each cluster's rows
+                        // are adjacent: one open and one kernel call per
+                        // (cluster, plane).
+                        let mut first = 0;
+                        while first < rows_per_oc {
+                            let cluster = event_rows[first].cluster as usize;
+                            let mut last = first + 1;
+                            while last < rows_per_oc && event_rows[last].cluster as usize == cluster
+                            {
+                                last += 1;
+                            }
+                            let group = &event_rows[first..last];
+                            let group_taps = ((last - first) * taps_per_row) as u64;
+                            for oc in first_oc..=last_oc {
+                                let plane_start = oc * plane - base;
+                                let cluster_index =
+                                    (cluster_of(plane_start) + cluster).min(cluster_clamp);
+                                open_window!(cluster_index);
+                                kernel.accumulate_rows_max(
+                                    membranes,
+                                    plane_start,
+                                    group,
+                                    &weight_starts
+                                        [oc * rows_per_oc + first..oc * rows_per_oc + last],
+                                    pool,
+                                    taps_per_row,
+                                    &mut lanes[cluster_index],
+                                );
+                                taps[cluster_index] += group_taps;
+                            }
+                            first = last;
                         }
-                    });
-                    if first_oc <= last_oc {
+                        active += u64::from(stencil.clusters) * planes;
+                        ops += (rows_per_oc * taps_per_row) as u64 * planes;
+                    } else if first_oc <= last_oc {
                         let first_span = first_oc * rows_per_oc;
                         let last_span = (last_oc + 1) * rows_per_oc;
                         let offsets = &row_offsets[first_span..last_span];
@@ -491,17 +570,7 @@ impl Slice {
                                 let cluster_index = cluster_of(local).min(cluster_clamp);
                                 let cluster_start = cluster_index * npc;
                                 let take = span_len.min(cluster_start + npc - local);
-                                if mark[cluster_index] != block {
-                                    mark[cluster_index] = block;
-                                    lanes[cluster_index] = LANE_FLOOR;
-                                    taps[cluster_index] = 0;
-                                    touched.push(cluster_index as u32);
-                                    let cluster = &mut clusters[cluster_index];
-                                    cluster.sync_skips(fire_epoch);
-                                    dirty_count += u32::from(!cluster.is_dirty());
-                                    let seg = &mut membranes[cluster_start..cluster_start + npc];
-                                    cluster.open_window(seg, params, kernel);
-                                }
+                                open_window!(cluster_index);
                                 if touch_epoch[cluster_index] != epoch {
                                     touch_epoch[cluster_index] = epoch;
                                     active += 1;
@@ -534,17 +603,7 @@ impl Slice {
                         let cluster_index = cluster_of(local).min(cluster_clamp);
                         let cluster_start = cluster_index * npc;
                         let run_end = end.min(base + cluster_start + npc);
-                        if mark[cluster_index] != block {
-                            mark[cluster_index] = block;
-                            lanes[cluster_index] = LANE_FLOOR;
-                            taps[cluster_index] = 0;
-                            touched.push(cluster_index as u32);
-                            let cluster = &mut clusters[cluster_index];
-                            cluster.sync_skips(fire_epoch);
-                            dirty_count += u32::from(!cluster.is_dirty());
-                            let seg = &mut membranes[cluster_start..cluster_start + npc];
-                            cluster.open_window(seg, params, kernel);
-                        }
+                        open_window!(cluster_index);
                         if touch_epoch[cluster_index] != epoch {
                             touch_epoch[cluster_index] = epoch;
                             active += 1;
@@ -603,6 +662,8 @@ impl Slice {
         let mut update_ops = Vec::with_capacity(1);
         self.process_update_block_planned(
             std::slice::from_ref(&row),
+            &[],
+            &[],
             params,
             clock_gating,
             &mut update_ops,
@@ -901,6 +962,58 @@ mod tests {
         // Without TLU every cluster scans.
         let fire = slice.process_fire(PARAMS, false);
         assert_eq!(fire.scanned_clusters, 4);
+    }
+
+    #[test]
+    fn stencil_walk_matches_the_span_walk() {
+        use crate::mapping::{LayerMapping, MapShape};
+        use crate::plan::{LayerPlan, StencilTable};
+        use sne_event::Event;
+
+        // 4x4 planes (16 neurons = 2 clusters of 8) on a 32-neuron slice:
+        // the slice holds two whole planes and every event resolves to a
+        // stencil, border events included.
+        let weights: Vec<i8> = (0..2 * 3 * 3 * 3).map(|i| (i % 11) as i8 - 5).collect();
+        let mapping =
+            LayerMapping::conv(MapShape::new(3, 4, 4), 2, 3, weights, PARAMS).expect("conv");
+        let plan = LayerPlan::build(&mapping);
+        let events: Vec<Event> = (0..48u16)
+            .map(|i| Event::update(0, i % 3, (i * 5) % 4, (i / 3) % 4))
+            .collect();
+        let rows: Vec<EventRow<'_>> = events.iter().map(|e| plan.event_row(e)).collect();
+        let mut table = StencilTable::default();
+        table.build(&rows, 8);
+        assert!(table.events.iter().all(|s| s.clusters > 0));
+
+        let mut runs = Vec::new();
+        for stencils in [&table.events[..], &[]] {
+            let mut slice = Slice::new(&small_config());
+            slice.set_kernel(Kernel::Blocked);
+            slice.configure_pass(0, 32);
+            let mut update_ops = Vec::new();
+            let mut scratch = WindowScratch::default();
+            // Two blocks with a fire in between (leak catch-up on reopen).
+            let mut outcomes = Vec::new();
+            for block in [0..20, 20..48] {
+                outcomes.push(slice.process_update_block_planned(
+                    &rows[block.clone()],
+                    stencils.get(block.clone()).unwrap_or(&[]),
+                    &table.rows,
+                    LifHardwareParams {
+                        leak: 1,
+                        threshold: 6,
+                    },
+                    true,
+                    &mut update_ops,
+                    &mut scratch,
+                ));
+                let _ = slice.process_fire(PARAMS, true);
+            }
+            let mut saved = vec![ClusterState::resting(8); 4];
+            slice.export_state(&mut saved);
+            runs.push((outcomes, update_ops, saved, slice.synaptic_ops()));
+        }
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

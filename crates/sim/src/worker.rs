@@ -18,7 +18,7 @@ use sne_event::{Event, EventOp};
 
 use crate::cluster::ClusterState;
 use crate::mapping::{Contribution, LayerMapping, LifHardwareParams};
-use crate::plan::EventRow;
+use crate::plan::{EventRow, StencilTable};
 use crate::slice::{Slice, WindowScratch};
 use crate::stats::CycleStats;
 
@@ -32,6 +32,9 @@ pub struct WorkerContext<'a> {
     /// caller built one (`None` runs the naive reference datapath).
     /// Bit-exact either way.
     pub rows: Option<&'a [EventRow<'a>]>,
+    /// The stencils of [`WorkerContext::rows`] (empty when none applies,
+    /// see [`StencilTable`]).
+    pub stencils: &'a StencilTable,
     /// The full operation sequence of the run.
     pub ops: &'a [Event],
     /// LIF parameters programmed for the layer.
@@ -193,8 +196,12 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
                                 block_end += 1;
                             }
                             let events = block_end - op_index;
+                            let block = update_index..update_index + events;
+                            let stencils = ctx.stencils.events.get(block.clone()).unwrap_or(&[]);
                             let outcome = task.slice.process_update_block_planned(
-                                &rows[update_index..update_index + events],
+                                &rows[block],
+                                stencils,
+                                &ctx.stencils.rows,
                                 ctx.params,
                                 ctx.clock_gating,
                                 &mut record.update_ops,
@@ -299,6 +306,7 @@ mod tests {
         let ctx = WorkerContext {
             mapping: &mapping,
             rows: None,
+            stencils: &StencilTable::default(),
             ops: &ops,
             params: mapping.params(),
             clock_gating: true,
@@ -337,6 +345,7 @@ mod tests {
         let ctx = WorkerContext {
             mapping: &mapping,
             rows: None,
+            stencils: &StencilTable::default(),
             ops: &ops,
             params: mapping.params(),
             clock_gating: true,

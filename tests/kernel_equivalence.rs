@@ -70,6 +70,45 @@ fn dense_mapping(
     LayerMapping::dense(input, outputs, weights, params).unwrap()
 }
 
+/// Conv geometries `(height, width)` on both sides of the stencil condition
+/// for the 4-cluster × 8-neuron slices of [`small_config`] (32 neurons per
+/// slice).
+const STENCIL_GEOMETRIES: [(u16, u16); 6] = [
+    // Plane 16, rows inside clusters: two whole planes per slice (stencil).
+    (4, 4),
+    // Plane 32 == one slice, width 8 == one row per cluster (stencil).
+    (4, 8),
+    // Plane 15: not a whole number of clusters (span walk).
+    (3, 5),
+    // Plane 24 with width 6: rows straddle clusters (span walk per event).
+    (4, 6),
+    // Plane 24 with width 4: rows fit, but slices split planes (span walk).
+    (6, 4),
+    // Plane 64: wider than a slice, every range splits a plane (span walk).
+    (8, 8),
+];
+
+fn stencil_stream(
+    height: u16,
+    width: u16,
+    in_channels: u16,
+    timesteps: u32,
+    spikes: &[(u32, u16, u16, u16)],
+) -> EventStream {
+    let mut stream = EventStream::new(width, height, in_channels, timesteps);
+    for &(t, ch, x, y) in spikes {
+        stream
+            .push(Event::update(
+                t % timesteps,
+                ch % in_channels,
+                x % width,
+                y % height,
+            ))
+            .unwrap();
+    }
+    stream
+}
+
 /// Runs one layer on an engine forced to `kernel`, naive or planned.
 fn run_with_kernel(
     config: SneConfig,
@@ -165,6 +204,54 @@ proptest! {
         // Reduction is kernel-independent of the lane distribution.
         prop_assert_eq!(Kernel::Blocked.reduce_lane_max(&scalar_lanes), folded_max);
         prop_assert_eq!(Kernel::Scalar.reduce_lane_max(&blocked_lanes), folded_max);
+    }
+
+    /// Primitive level: the stencil row form (`accumulate_rows_max`, one
+    /// cluster's kernel rows in one plane) — identical rewritten states and
+    /// reduced maximum on both kernels, and identical to one
+    /// `accumulate_span` per row, for row widths 1..=9 (one past the block
+    /// width) over a padded pool.
+    #[test]
+    fn stencil_rows_match_scalar_and_per_row_spans(
+        mem in prop::collection::vec(-128i16..=127, 24..64),
+        pool in prop::collection::vec(-128i8..=127, 48..49),
+        taps in 1usize..10,
+        rows in prop::collection::vec((0usize..64, 0usize..64), 1..4),
+        plane_start in 0usize..8,
+    ) {
+        use sne_sim::plan::StencilRow;
+        use sne_sim::simd::{BLOCK_LANES, LANE_FLOOR};
+
+        // Leave a vector step of room behind every row and weight run.
+        let step = taps.max(BLOCK_LANES);
+        let rows: Vec<(StencilRow, u32)> = rows
+            .iter()
+            .map(|&(at, w)| {
+                let start = (at % (mem.len() - step - plane_start)) as u32;
+                (StencilRow { start, cluster: 0 }, (w % (pool.len() - step)) as u32)
+            })
+            .collect();
+        let stencil: Vec<StencilRow> = rows.iter().map(|r| r.0).collect();
+        let starts: Vec<u32> = rows.iter().map(|r| r.1).collect();
+
+        let mut folded = mem.clone();
+        let mut folded_max = i16::from(i8::MIN);
+        for (row, &w) in stencil.iter().zip(&starts) {
+            let at = plane_start + row.start as usize;
+            let w = w as usize;
+            folded_max = folded_max.max(
+                Kernel::Scalar.accumulate_span(&mut folded, at, &pool[w..w + taps]),
+            );
+        }
+        for kernel in [Kernel::Scalar, Kernel::Blocked] {
+            let mut states = mem.clone();
+            let mut lanes = LANE_FLOOR;
+            kernel.accumulate_rows_max(
+                &mut states, plane_start, &stencil, &starts, &pool, taps, &mut lanes,
+            );
+            prop_assert_eq!(&states, &folded);
+            prop_assert_eq!(kernel.reduce_lane_max(&lanes), folded_max);
+        }
     }
 
     /// Primitive level: saturation storm — every state and weight pinned to
@@ -303,6 +390,91 @@ proptest! {
                 &mapping, plan, &stream,
             );
             prop_assert_eq!(result, expected.clone());
+        }
+    }
+
+    /// Engine level, both sides of the stencil condition: planes that are
+    /// and are not a whole number of clusters, rows that straddle a
+    /// cluster, slice ranges that split a plane, kernels 1, 3 and 5, and
+    /// multi-pass layers (up to 12 output channels on 2-3 slices). The
+    /// blocked planned run — stencil walk where it applies, span walk
+    /// elsewhere — must equal the scalar naive oracle exactly, traces
+    /// included.
+    #[test]
+    fn stencil_and_span_walks_match_the_scalar_oracle(
+        geometry in 0usize..STENCIL_GEOMETRIES.len(),
+        kernel_index in 0usize..3,
+        in_channels in 1u16..3,
+        out_channels in 1u16..13,
+        params in (0i16..3, 1i16..6),
+        num_slices in 2usize..4,
+        spikes in prop::collection::vec((0u32..10, 0u16..2, 0u16..64, 0u16..64), 20..120),
+        weight_seed in 0u64..1000,
+    ) {
+        let (height, width) = STENCIL_GEOMETRIES[geometry];
+        let kernel = [1u16, 3, 5][kernel_index];
+        let (leak, threshold) = params;
+        let mapping = conv_mapping(
+            in_channels, height, width, out_channels, kernel, weight_seed,
+            LifHardwareParams { leak, threshold },
+        );
+        let plan = LayerPlan::build(&mapping);
+        let stream = stencil_stream(height, width, in_channels, 10, &spikes);
+        let config = small_config(num_slices);
+        let mut oracle = Engine::new(config);
+        oracle.set_kernel(Kernel::Scalar);
+        oracle.enable_trace(4096);
+        let expected = oracle.run_layer(&mapping, &stream).unwrap();
+        for exec in [ExecStrategy::Sequential, ExecStrategy::Threaded(3)] {
+            let mut engine = Engine::with_exec(config, exec);
+            engine.set_kernel(Kernel::Blocked);
+            engine.enable_trace(4096);
+            let result = engine.run_layer_planned(&mapping, &plan, &stream).unwrap();
+            prop_assert_eq!(&result, &expected);
+            prop_assert_eq!(engine.trace(), oracle.trace());
+        }
+    }
+
+    /// Chunked resume on both sides of the stencil condition: the blocked
+    /// planned engine must persist **exactly** the scalar naive oracle's
+    /// state (membranes, pending leaks, dirty flags) at every cut, with
+    /// identical per-chunk runs. The stencil walk's per-cluster maximum
+    /// decides fire-scan elision, which the persisted pending leaks expose.
+    #[test]
+    fn stencil_chunked_resume_persists_the_oracle_state(
+        geometry in 0usize..STENCIL_GEOMETRIES.len(),
+        kernel_index in 0usize..3,
+        out_channels in 1u16..13,
+        threshold in 2i16..7,
+        cut in 1u32..12,
+        spikes in prop::collection::vec((0u32..12, 0u16..1, 0u16..64, 0u16..64), 40..140),
+        weight_seed in 0u64..1000,
+    ) {
+        let (height, width) = STENCIL_GEOMETRIES[geometry];
+        let kernel = [1u16, 3, 5][kernel_index];
+        let mapping = conv_mapping(
+            1, height, width, out_channels, kernel, weight_seed,
+            LifHardwareParams { leak: 1, threshold },
+        );
+        let plan = LayerPlan::build(&mapping);
+        let stream = stencil_stream(height, width, 1, 12, &spikes);
+        let config = small_config(2);
+        let mut oracle = Engine::new(config);
+        oracle.set_kernel(Kernel::Scalar);
+        let mut oracle_state = LayerState::new(&config, &mapping);
+        let mut engine = Engine::new(config);
+        engine.set_kernel(Kernel::Blocked);
+        let mut state = LayerState::new(&config, &mapping);
+        for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
+            let chunk = stream.window(start, end);
+            let expected = oracle
+                .run_layer_stateful(&mapping, &chunk, &mut oracle_state, i > 0)
+                .unwrap();
+            let result = engine
+                .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
+                .unwrap();
+            prop_assert_eq!(&result, &expected);
+            prop_assert_eq!(&state, &oracle_state);
         }
     }
 

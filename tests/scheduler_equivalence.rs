@@ -6,7 +6,7 @@
 //! and the same deterministic error choice — for every [`ExecStrategy`].
 
 use proptest::prelude::*;
-use sne::batch::{BatchRunner, EnginePool, LatencySummary, Scheduler};
+use sne::batch::{BatchRunner, EnginePool, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
 use sne::ExecStrategy;
@@ -124,11 +124,14 @@ proptest! {
         }
     }
 
-    /// The fairness/utilization gate: a saturating closed batch on N >= 2
-    /// lanes must spread busy-time across every worker-owned lane — the
-    /// `[0, 0, 0, 0.981]` collapse of the old FIFO + blocking-checkout
-    /// scheduler can never come back silently. Jobs are uniform-cost so the
-    /// spread measures the scheduler, not workload variance.
+    /// Placement fairness on N >= 2 lanes, gated on scheduler decisions
+    /// only: after a saturating closed batch, arrivals paced near the
+    /// measured service rate must reach every worker-owned lane. Jobs are
+    /// uniform-cost so the placement, not workload variance, decides the
+    /// per-lane counts. The wall-clock gates over the same workload (the
+    /// closed-burst busy-time spread and the paced queue-vs-service p50)
+    /// depend on how the host schedules the worker threads, so they run in
+    /// `session_report`, not here.
     #[test]
     fn saturating_batches_spread_load_across_worker_lanes(
         lanes in 2usize..5,
@@ -157,49 +160,11 @@ proptest! {
             exec,
         )
         .unwrap();
-        // Warmup: the first batch pays worker-thread startup in its
-        // queue-wait samples; the gates measure the steady-state fleet.
+        // Warmup: the first batch pays worker-thread startup; the paced
+        // phase below runs on the steady-state fleet.
         let _ = runner.run(&streams).unwrap();
         let report = runner.run(&streams).unwrap();
-        // The busy-time spread gates assume the worker threads actually run
-        // concurrently. A 1-core host serializes them: which worker the
-        // kernel schedules first (and for how long) decides the wall-clock
-        // busy split, so the spread measures the OS scheduler, not ours.
-        // The steal-floor keeps placement fair even there — the per-lane
-        // job-count gate below still runs — but the busy-time ratios are
-        // only meaningful with real parallelism.
-        let single_core = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            == 1;
-        if !single_core {
-            // Only a worker-owned lane can be busy at all, so the gate is
-            // over the `threads` busiest lanes (threads == owned lanes).
-            let mut busy = report.lane_utilization.clone();
-            busy.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let owned = &busy[..report.threads];
-            let mean = owned.iter().sum::<f64>() / owned.len() as f64;
-            let min = owned.iter().copied().fold(f64::INFINITY, f64::min);
-            prop_assert!(mean > 0.0);
-            prop_assert!(
-                min >= 0.25 * mean,
-                "lane-utilization collapse: {:?} (threads = {})",
-                report.lane_utilization,
-                report.threads
-            );
-            // With one worker per lane the report's own spread stat is the
-            // same gate; it must agree with the recomputation.
-            if report.threads == report.lanes {
-                prop_assert!(report.utilization_spread >= 0.25);
-                prop_assert!((report.utilization_spread - min / mean).abs() < 1e-9);
-            }
-        }
-        // Arrivals must wait on the hardware, not the queue. A closed burst
-        // cannot show that (every job necessarily waits for the backlog
-        // ahead of it — Little's law — and a one-core host serializes the
-        // workers on top), so the queue gate runs open-loop: arrivals paced
-        // near the measured service rate, the serving steady state. The
-        // old FIFO + blocking-checkout scheduler queued ~5x its service
-        // p50 here; 2x plus a scheduling-noise floor is the gate.
+        prop_assert_eq!(report.results.len(), streams.len());
         let pace = std::time::Duration::from_micros(
             (report.service_latency.p50_us * 1.25).max(50.0) as u64,
         );
@@ -209,21 +174,9 @@ proptest! {
         }
         let records = runner.drain();
         prop_assert_eq!(records.len(), streams.len());
-        let queue: Vec<f64> = records.iter().map(|r| r.queue_us).collect();
-        let service: Vec<f64> = records.iter().map(|r| r.service_us).collect();
-        let queue_p50 = LatencySummary::from_samples_us(&queue).p50_us;
-        let service_p50 = LatencySummary::from_samples_us(&service).p50_us;
-        prop_assert!(
-            queue_p50 <= 2.0 * service_p50 + 1500.0,
-            "paced arrivals queued on the scheduler: queue p50 {} vs service p50 {}",
-            queue_p50,
-            service_p50
-        );
-        // Paced arrivals also reach every worker-owned lane (the rotating
-        // placement tiebreak): no lane is starved. The gate counts jobs, not
-        // busy-time — wall-clock service on a time-sliced host attributes
-        // arbitrarily across interleaved lanes, but a collapsed placement
-        // shows up as a zero count regardless of the clock.
+        // No lane is starved (the rotating placement tiebreak). The gate
+        // counts jobs, not busy-time: a collapsed placement shows up as a
+        // zero count regardless of the clock.
         let owned_lanes = runner.scheduler().worker_lanes().to_vec();
         let mut lane_jobs = vec![0usize; lanes];
         for record in &records {

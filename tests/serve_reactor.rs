@@ -273,8 +273,12 @@ fn mid_stream_disconnect_frees_the_session_slot() {
 
     // The session must come back (409 only transiently while the orphaned
     // push is in flight), with its state advanced by the orphaned chunk.
+    // The orphan travels on another connection, so the reactor may read
+    // this push first: `chunk_seq` 2 fences it (409 until the orphaned
+    // chunk 1 has been applied) instead of letting it overtake.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let push_body = client::infer_body("tiny", &chunks[2]);
+    let body = client::infer_body("tiny", &chunks[2]);
+    let push_body = format!("{{\"chunk_seq\":2,{}", &body[1..]);
     let expected = reference.push(&chunks[2]).unwrap();
     loop {
         let (status, body) = client::post(addr, "/v1/stream/dvs-0/push", &push_body).unwrap();
