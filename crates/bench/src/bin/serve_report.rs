@@ -633,7 +633,6 @@ fn main() {
     let field = |key: &str| model.get(key).and_then(Json::as_u64).unwrap();
     let workers = field("workers");
     let steals = field("steals");
-    let coalesced = field("coalesced");
     let affinity_hits = field("affinity_hits");
     let affinity_misses = field("affinity_misses");
     assert_eq!(field("pending"), 0, "backlog left after the bench");
@@ -805,7 +804,7 @@ fn main() {
     json.push_str("  \"bit_exact_vs_direct_session\": true,\n");
     json.push_str(&format!("  \"server_completed_requests\": {completed},\n"));
     json.push_str(&format!(
-        "  \"scheduler\": {{\"workers\": {workers}, \"steals\": {steals}, \"coalesced\": {coalesced}, \"affinity_hits\": {affinity_hits}, \"affinity_misses\": {affinity_misses}}},\n"
+        "  \"scheduler\": {{\"workers\": {workers}, \"steals\": {steals}, \"affinity_hits\": {affinity_hits}, \"affinity_misses\": {affinity_misses}}},\n"
     ));
     json.push_str("  \"shard_counters\": [\n");
     for (i, (accepted, open, evictions)) in shard_counters.iter().enumerate() {
@@ -903,7 +902,7 @@ fn main() {
 
     println!();
     println!(
-        "scheduler: {workers} workers, {steals} steals, {coalesced} coalesced pushes, affinity {affinity_hits} hits / {affinity_misses} misses"
+        "scheduler: {workers} workers, {steals} steals, affinity {affinity_hits} hits / {affinity_misses} misses"
     );
     for (i, (accepted, open, evictions)) in shard_counters.iter().enumerate() {
         println!("shard {i}: {accepted} accepted, {open} open at exit, {evictions} evictions");

@@ -329,10 +329,6 @@ pub struct SchedulerStats {
     /// Requests submitted with an affinity hint and served elsewhere
     /// (stolen or rerouted — results are identical either way).
     pub affinity_misses: u64,
-    /// Interactive push jobs served as riders of another push's scheduler
-    /// round trip — the checkout-coalescing window amortized their
-    /// queue-lock wakeup (0 outside a [`Scheduler`]).
-    pub coalesced: u64,
     /// Queue-wait latency summary over the recent-request window.
     pub queue: LatencySummary,
     /// Service latency summary over the recent-request window.
@@ -396,7 +392,6 @@ impl LatencyRecorder {
             steals: 0,
             affinity_hits: 0,
             affinity_misses: 0,
-            coalesced: 0,
         }
     }
 }
@@ -422,15 +417,6 @@ const BULK_BYPASS_LIMIT: u32 = 4;
 /// first-scheduled worker of a time-sliced single-core host from draining
 /// every peer's queue.
 const STEAL_GRACE: Duration = Duration::from_millis(2);
-
-/// Upper bound on interactive push jobs one worker takes from its own queue
-/// in a single scheduler round trip — the checkout-coalescing window. A
-/// queue-lock acquisition plus condvar wakeup costs more than a small chunk's
-/// inference, so under push saturation the per-job scheduler overhead
-/// dominates; serving a short run of queued pushes back-to-back on the
-/// already-held engine amortizes it. Bounded so a worker re-checks bulk
-/// starvation and steal targets at least every `PUSH_COALESCE_WINDOW` jobs.
-const PUSH_COALESCE_WINDOW: usize = 8;
 
 /// One queued request. Streams are behind an `Arc` so callers that already
 /// hold shared streams submit without copying event data.
@@ -550,30 +536,6 @@ impl WorkerQueue {
     fn steal_tail(&mut self) -> Option<Job> {
         self.bulk.pop_back().or_else(|| self.interactive.pop_back())
     }
-
-    /// Takes up to `limit` additional interactive push jobs from the front
-    /// of the queue: the riders of a checkout-coalescing run. Only while no
-    /// bulk work waits — a coalesced run must not stretch the interactive
-    /// bypass past the starvation guard. FIFO order is preserved and each
-    /// rider still runs sequentially on one engine, so the run is
-    /// bit-identical to serving the same jobs one scheduler round trip at a
-    /// time (pushes to distinct clients are independent, and same-client
-    /// pushes cannot be queued concurrently — the caller holds the client).
-    fn coalesce_pushes(&mut self, limit: usize) -> Vec<Job> {
-        let mut run = Vec::new();
-        if !self.bulk.is_empty() {
-            return run;
-        }
-        while run.len() < limit
-            && matches!(
-                self.interactive.front().map(|job| &job.kind),
-                Some(JobKind::Push { .. })
-            )
-        {
-            run.push(self.interactive.pop_front().expect("front just matched"));
-        }
-        run
-    }
 }
 
 #[derive(Debug)]
@@ -640,7 +602,6 @@ struct SchedShared {
     steals: AtomicU64,
     affinity_hits: AtomicU64,
     affinity_misses: AtomicU64,
-    coalesced: AtomicU64,
     /// `worker_lanes[i]` is the engine lane worker `i` owns.
     worker_lanes: Vec<usize>,
 }
@@ -704,7 +665,6 @@ impl Scheduler {
             steals: AtomicU64::new(0),
             affinity_hits: AtomicU64::new(0),
             affinity_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             worker_lanes,
         });
         let workers = engines
@@ -773,7 +733,6 @@ impl Scheduler {
         stats.steals = self.shared.steals.load(Ordering::Relaxed);
         stats.affinity_hits = self.shared.affinity_hits.load(Ordering::Relaxed);
         stats.affinity_misses = self.shared.affinity_misses.load(Ordering::Relaxed);
-        stats.coalesced = self.shared.coalesced.load(Ordering::Relaxed);
         stats
     }
 
@@ -964,8 +923,7 @@ impl Drop for Scheduler {
 fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
     loop {
         let mut stolen = false;
-        let mut run: Vec<Job> = Vec::new();
-        let drained = {
+        let job = {
             let mut state = shared.state.lock().expect("scheduler poisoned");
             // A steal needs an expired grace period first: the victim was
             // notified for its own jobs and deserves one scheduling quantum
@@ -976,28 +934,16 @@ fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
             let mut grace_expired = false;
             loop {
                 if let Some(job) = state.queues[index].pop_local() {
-                    // Checkout coalescing: a local push may bring riders —
-                    // the pushes queued right behind it — so one lock/wake
-                    // round trip serves the whole run. Stolen jobs never
-                    // coalesce (the victim's queue keeps its FIFO share).
-                    let riders = if matches!(job.kind, JobKind::Push { .. }) {
-                        state.queues[index].coalesce_pushes(PUSH_COALESCE_WINDOW - 1)
-                    } else {
-                        Vec::new()
-                    };
-                    run.push(job);
-                    run.extend(riders);
-                    break true;
+                    break Some(job);
                 }
                 if grace_expired || state.closed {
                     if let Some(job) = state.steal_for(index) {
                         stolen = true;
-                        run.push(job);
-                        break true;
+                        break Some(job);
                     }
                 }
                 if state.closed {
-                    break false;
+                    break None;
                 }
                 // Pending work this worker must not (yet) take: the wakeup
                 // token that landed here was meant for the job's owner, so
@@ -1016,28 +962,20 @@ fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
                 grace_expired = timeout.timed_out();
             }
         };
-        if !drained {
+        let Some(job) = job else {
             shared.pool.checkin(engine);
             return;
-        }
+        };
         if stolen {
             shared.steals.fetch_add(1, Ordering::Relaxed);
         }
-        if run.len() > 1 {
-            shared
-                .coalesced
-                .fetch_add(run.len() as u64 - 1, Ordering::Relaxed);
-        }
-        for job in run {
-            serve_job(shared, &mut engine, job);
-        }
+        serve_job(shared, &mut engine, job);
     }
 }
 
 /// Serves one job on the worker's owned engine: affinity accounting, queue
 /// and service timing, inference or push, and the reply (channel send or
-/// inline callback). Latency bookkeeping is per job even inside a coalesced
-/// run, so a rider's record still shows its own queue wait.
+/// inline callback).
 fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
     let lane = engine.lane();
     if let Some(hint) = job.affinity {

@@ -44,7 +44,6 @@
 //! # }
 //! ```
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use sne_event::EventStream;
@@ -223,162 +222,6 @@ pub(crate) fn run_stages(
         }
     }
 
-    Ok(StageOutcome {
-        stream,
-        layers,
-        profiles,
-        total,
-    })
-}
-
-/// The stages handled by one pipeline worker thread: any pooling stages that
-/// precede the accelerated layer, then the layer itself.
-struct PipelineStage<'n> {
-    pools: Vec<u16>,
-    mapping: &'n LayerMapping,
-    plan: Option<&'n LayerPlan>,
-    description: &'n str,
-}
-
-/// [`run_stages`] with one **host thread per accelerated layer**: each layer
-/// owns its engine and persistent state on its own thread, and intermediate
-/// event streams flow between the stage threads over channels (the software
-/// counterpart of the C-XBAR links between slice partitions).
-///
-/// Each stage consumes its complete input stream before the next stage runs
-/// on it, exactly like [`run_stages`], so the outcome — output events,
-/// per-layer statistics, cycle profiles — is bit-identical to the sequential
-/// walk. The whole-stream handoff is what bit-exactness requires, and it
-/// also means the stage threads execute **one after another** within a
-/// single call: this path is the structural decomposition (isolated
-/// engine + state per stage), not a wall-clock win today. The *modelled*
-/// overlap of the pipeline remains [`wavefront_makespan`] over the
-/// per-timestep schedules; real host overlap needs sub-stream-granularity
-/// handoff, which this structure is the enabler for.
-pub(crate) fn run_stages_pipelined(
-    engines: &mut [Engine],
-    network: &CompiledNetwork,
-    input: &EventStream,
-    plans: Option<&[LayerPlan]>,
-    states: Option<&mut [LayerState]>,
-    resume: bool,
-) -> Result<StageOutcome, SneError> {
-    // Partition the stage list into per-layer groups (pools attach to the
-    // accelerated layer that follows them).
-    let mut groups: Vec<PipelineStage<'_>> = Vec::new();
-    let mut pending_pools: Vec<u16> = Vec::new();
-    for stage in network.stages() {
-        match stage {
-            Stage::Pool { window, .. } => pending_pools.push(*window),
-            Stage::Accelerated {
-                mapping,
-                description,
-            } => {
-                let layer_index = groups.len();
-                groups.push(PipelineStage {
-                    pools: std::mem::take(&mut pending_pools),
-                    mapping,
-                    plan: plans.map(|p| &p[layer_index]),
-                    description,
-                });
-            }
-        }
-    }
-    let trailing_pools = pending_pools;
-    // Nothing to overlap (single layer), or the time-multiplexed
-    // configuration (one engine shared by every layer, which cannot split
-    // across stage threads): the sequential walk is the same computation.
-    if groups.len() <= 1 || engines.len() != groups.len() {
-        return run_stages(engines, network, input, plans, states, resume);
-    }
-
-    let mut state_shares: Vec<Option<&mut LayerState>> = match states {
-        Some(states) => states.iter_mut().map(Some).collect(),
-        None => engines.iter().map(|_| None).collect(),
-    };
-
-    type StageResult = Result<(LayerExecution, Vec<u64>), Option<SneError>>;
-    let (layer_results, final_stream): (Vec<StageResult>, Option<EventStream>) =
-        std::thread::scope(|scope| {
-            let mut upstream_rx: Option<mpsc::Receiver<Option<EventStream>>> = None;
-            let mut handles = Vec::with_capacity(groups.len());
-            for ((group, engine), state) in groups
-                .iter()
-                .zip(engines.iter_mut())
-                .zip(state_shares.drain(..))
-            {
-                let (tx, rx) = mpsc::channel::<Option<EventStream>>();
-                let upstream = upstream_rx.replace(rx);
-                handles.push(scope.spawn(move || -> StageResult {
-                    // `None` on the channel (or a dropped sender) means an
-                    // upstream stage failed; propagate the marker and report
-                    // no error of our own (`Err(None)`): the upstream
-                    // stage's own `Err(Some(..))` carries the real error.
-                    let received = match upstream {
-                        None => Some(input.clone()),
-                        Some(rx) => rx.recv().unwrap_or(None),
-                    };
-                    let Some(mut stream) = received else {
-                        let _ = tx.send(None);
-                        return Err(None);
-                    };
-                    for &window in &group.pools {
-                        stream = stream.downscale(window);
-                    }
-                    let input_events = stream.spike_count() as u64;
-                    let run =
-                        run_one_layer(engine, group.mapping, group.plan, &stream, state, resume);
-                    match run {
-                        Err(e) => {
-                            let _ = tx.send(None);
-                            Err(Some(SneError::from(e)))
-                        }
-                        Ok(run) => {
-                            let layer = layer_execution(
-                                group.description,
-                                group.mapping,
-                                &run,
-                                input_events,
-                                stream.geometry().timesteps,
-                            );
-                            let _ = tx.send(Some(run.output));
-                            Ok((layer, run.timestep_cycles))
-                        }
-                    }
-                }));
-            }
-            // The last channel delivers the final layer's output stream.
-            let final_stream = upstream_rx
-                .expect("pipeline has at least two stages")
-                .recv()
-                .unwrap_or(None);
-            let results = handles
-                .into_iter()
-                .map(|h| h.join().expect("pipeline stage thread panicked"))
-                .collect();
-            (results, final_stream)
-        });
-
-    // First failing layer (in layer order) wins — the same error the
-    // sequential walk would have returned.
-    let mut layers = Vec::with_capacity(layer_results.len());
-    let mut profiles = Vec::with_capacity(layer_results.len());
-    let mut total = CycleStats::new();
-    for result in layer_results {
-        match result {
-            Ok((layer, profile)) => {
-                total.merge(&layer.stats);
-                layers.push(layer);
-                profiles.push(profile);
-            }
-            Err(Some(error)) => return Err(error),
-            Err(None) => unreachable!("upstream failure without a reported error"),
-        }
-    }
-    let mut stream = final_stream.expect("pipeline completed but produced no stream");
-    for &window in &trailing_pools {
-        stream = stream.downscale(window);
-    }
     Ok(StageOutcome {
         stream,
         layers,
@@ -724,7 +567,6 @@ pub struct PipelinedSession {
     artifact: Arc<RuntimeArtifact>,
     engines: Vec<Engine>,
     states: Vec<LayerState>,
-    exec: ExecStrategy,
 }
 
 impl PipelinedSession {
@@ -740,38 +582,8 @@ impl PipelinedSession {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
     ) -> Result<Self, SneError> {
-        Self::with_exec(network, config, ExecStrategy::Sequential)
-    }
-
-    /// Builds a pipelined session that, under a parallel strategy, runs each
-    /// layer stage on its **own host thread**, with intermediate streams
-    /// handed over between stage threads (the software counterpart of the
-    /// C-XBAR links). Results are bit-identical to [`PipelinedSession::new`]
-    /// for every strategy.
-    ///
-    /// Two caveats to set expectations: the stage pipeline has exactly one
-    /// thread per accelerated layer — a parallel strategy turns the stage
-    /// threads *on*, its worker count is not a cap here (unlike [`Engine`]
-    /// and [`crate::batch::BatchRunner`], where `Threaded(n)` bounds the
-    /// workers) — and because bit-exactness requires each stage to receive
-    /// its predecessor's *complete* stream, the stage threads run one after
-    /// another within a single inference: expect structure, not a speedup.
-    /// For host wall-clock wins use [`crate::batch::BatchRunner::with_exec`]
-    /// (independent lanes) or the engine's per-slice fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PipelinedSession::new`].
-    pub fn with_exec(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-        exec: ExecStrategy,
-    ) -> Result<Self, SneError> {
         let artifact = Arc::new(RuntimeArtifact::new(network, config)?);
         let shares = pipeline_shares(artifact.network(), artifact.config())?;
-        // Stage threads carry the parallelism; the per-layer engines (each
-        // owning only a few slices) stay sequential to avoid oversubscribing
-        // the host.
         let engines = pipeline_engines(artifact.config(), &shares, ExecStrategy::Sequential);
         let states = artifact
             .network()
@@ -785,7 +597,6 @@ impl PipelinedSession {
             artifact,
             engines,
             states,
-            exec,
         })
     }
 
@@ -801,20 +612,6 @@ impl PipelinedSession {
         self.engines.iter().map(|e| e.config().num_slices).collect()
     }
 
-    /// The execution strategy of the layer-stage pipeline (a parallel
-    /// strategy means one host thread per accelerated layer; the worker
-    /// count is not a cap — see [`PipelinedSession::with_exec`]).
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.exec
-    }
-
-    /// Changes the execution strategy (takes effect on the next inference;
-    /// never changes results).
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.exec = exec;
-    }
-
     /// Runs one inference with all layers executing concurrently on their
     /// slice partitions. `stats.total_cycles` (and the derived time, rate and
     /// energy) reflect the real overlapped schedule: layer `l` starts
@@ -826,12 +623,7 @@ impl PipelinedSession {
     /// the network input, and propagates simulator errors.
     pub fn infer(&mut self, input: &EventStream) -> Result<InferenceResult, SneError> {
         check_geometry(self.artifact.network(), input)?;
-        let stages_fn = if self.exec.is_parallel() {
-            run_stages_pipelined
-        } else {
-            run_stages
-        };
-        let outcome = stages_fn(
+        let outcome = run_stages(
             &mut self.engines,
             self.artifact.network(),
             input,
@@ -1062,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_session_and_pipeline_are_bit_exact() {
+    fn threaded_session_is_bit_exact() {
         let network = compiled();
         let stream = input_stream(19);
         let mut sequential =
@@ -1078,47 +870,20 @@ mod tests {
         assert_eq!(threaded.infer(&stream).unwrap(), expected);
         threaded.set_exec(ExecStrategy::Sequential);
         assert_eq!(threaded.infer(&stream).unwrap(), expected);
-
-        // Pipelined: one real host thread per layer stage, same outcome.
-        let mut pipe_seq =
-            PipelinedSession::new(network.clone(), SneConfig::with_slices(8)).unwrap();
-        let pipe_expected = pipe_seq.infer(&stream).unwrap();
-        for threads in [2usize, 8] {
-            let mut pipe_threaded = PipelinedSession::with_exec(
-                network.clone(),
-                SneConfig::with_slices(8),
-                ExecStrategy::threaded(threads),
-            )
-            .unwrap();
-            assert_eq!(
-                pipe_threaded.infer(&stream).unwrap(),
-                pipe_expected,
-                "threads = {threads}"
-            );
-            // Re-usable across inferences like the sequential session.
-            assert_eq!(pipe_threaded.infer(&stream).unwrap(), pipe_expected);
-            assert_eq!(pipe_threaded.exec().threads(), threads);
-        }
     }
 
     #[test]
-    fn threaded_pipeline_reports_layer_errors_like_the_sequential_walk() {
+    fn pipelined_session_reports_layer_errors() {
         // An input stream with valid geometry but an event outside the first
         // layer's mapped feature map triggers a simulator error in layer 0;
-        // the threaded pipeline must surface the same error.
+        // the pipelined session surfaces it like the accelerator entry point.
         let network = compiled();
         let mut stream = EventStream::new(8, 8, 2, 4);
         stream.push_unchecked(Event::update(0, 7, 3, 3)); // channel out of range
-        let mut sequential =
-            PipelinedSession::new(network.clone(), SneConfig::with_slices(8)).unwrap();
-        let expected = sequential.infer(&stream).unwrap_err();
-        let mut threaded = PipelinedSession::with_exec(
-            network,
-            SneConfig::with_slices(8),
-            ExecStrategy::threaded(2),
-        )
-        .unwrap();
-        assert_eq!(threaded.infer(&stream).unwrap_err(), expected);
+        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(8));
+        let expected = accelerator.run_pipelined(&network, &stream).unwrap_err();
+        let mut session = PipelinedSession::new(network, SneConfig::with_slices(8)).unwrap();
+        assert_eq!(session.infer(&stream).unwrap_err(), expected);
     }
 
     #[test]

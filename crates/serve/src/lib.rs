@@ -61,6 +61,7 @@ pub mod http;
 pub mod json;
 pub mod reactor;
 pub mod server;
+mod sessions;
 
 pub use json::{Json, JsonError};
 pub use server::{DurabilityStats, Server, ServerBuilder};

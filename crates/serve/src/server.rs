@@ -43,21 +43,13 @@
 //!
 //! ## Durability (DESIGN.md §14)
 //!
-//! With [`ServerBuilder::durable_store`] the session table becomes
-//! two-tiered: **warm** sessions hold their neuron state in memory, and
-//! every successful push also parks a versioned, digest-checked snapshot
-//! of the advanced state in the store (write-ahead: journal append, tmp
-//! write, rename). When the warm tier hits the configured capacity, the
-//! least-recently-used parked session is demoted to the **cold** tier — a
-//! map move, since its snapshot is already current on disk — instead of
-//! refusing new sessions with 503. A push to a cold session faults it
-//! back in (load, verify digests, restore, promote), bit-identically to a
-//! session that never left memory. On start the store is scanned: torn or
-//! corrupt snapshots and snapshots bound to an unregistered artifact are
-//! discarded (counted, never resurrected), survivors are adopted into the
-//! cold tier — a `kill -9` loses at most the push that was in flight.
-//! Closing a session reclaims its disk snapshot in every tier, so a
-//! closed id can never resurrect after a restart.
+//! Streaming sessions live in one session table, which owns their warm
+//! (in-memory) and cold (on-disk) tiers. With
+//! [`ServerBuilder::durable_store`] every acknowledged push has parked a
+//! digest-checked snapshot first (a push whose park fails is answered 503
+//! and not applied), idle sessions are demoted to disk at capacity and
+//! faulted back in bit-identically, and a restart — even after `kill -9` —
+//! adopts every parked session.
 //!
 //! Every response carries an `X-Request-Id` (echoed from the request when
 //! the client sent one, generated otherwise); per-route counters and a ring
@@ -76,7 +68,7 @@
 //!
 //! Errors are `{"error": "..."}` with 400 (bad request), 404 (unknown
 //! model/session/route), 405 (wrong method), 408 (read deadline), 409
-//! (session busy), 429 (shed) or 503 (capacity).
+//! (session busy), 429 (shed) or 503 (capacity, failed write-ahead park).
 //!
 //! ## Graceful shutdown
 //!
@@ -84,7 +76,6 @@
 //! and drains every in-flight request — dispatched work completes and its
 //! response is flushed before the reactor exits.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -94,7 +85,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sne::artifact::{ClientState, RuntimeArtifact};
+use sne::artifact::RuntimeArtifact;
 use sne::batch::{EnginePool, LatencyRecorder, LatencySummary, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::run::InferenceResult;
@@ -102,11 +93,14 @@ use sne::session::ChunkOutput;
 use sne::SneError;
 use sne_event::{Event, EventStream};
 use sne_sim::{ExecStrategy, SneConfig};
-use sne_store::{FsyncPolicy, Header, SessionStore};
+use sne_store::FsyncPolicy;
 
 use crate::http::{append_response, format_response, Request, RequestParser};
 use crate::json::Json;
 use crate::reactor::{Interest, PollEvent, Poller, TimerEntry, TimerWheel, WakePipe, Waker};
+use crate::sessions::{SessionError, SessionTable};
+
+pub use crate::sessions::DurabilityStats;
 
 /// Upper bound on one request's timestep window. It bounds the per-timestep
 /// bookkeeping (and engine loop) a single request can trigger — the
@@ -158,7 +152,7 @@ const SCRATCH_BYTES: usize = 16 * 1024;
 /// a poisoned guard's contents are still usable — and a serving front-end
 /// must keep answering after one panicked request rather than convert
 /// every subsequent request into a cascading panic.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -175,81 +169,6 @@ struct ModelEntry {
     inflight: AtomicU64,
     /// Requests shed with 429 because the admission budget was exhausted.
     shed: AtomicU64,
-}
-
-/// One warm streaming session. `client` is `None` while a request is
-/// in flight for it (concurrent pushes to the same session conflict).
-/// `preferred_lane` remembers the engine that served the last chunk — the
-/// affinity hint for the next one. `last_used` is the session table's
-/// logical clock at the last touch, the LRU key for park-to-disk
-/// demotion.
-#[derive(Debug)]
-struct StreamEntry {
-    model: String,
-    client: Option<ClientState>,
-    preferred_lane: Option<usize>,
-    last_used: u64,
-}
-
-/// The two-tier session table. `warm` sessions hold neuron state in
-/// memory; `cold` sessions live only as store snapshots and keep just
-/// their model's registry index here (populated by LRU demotion and boot
-/// recovery — both require a durable store). `clock` is the logical LRU
-/// counter bumped on every session touch.
-#[derive(Debug, Default)]
-struct SessionTable {
-    warm: HashMap<String, StreamEntry>,
-    cold: HashMap<String, usize>,
-    clock: u64,
-}
-
-impl SessionTable {
-    /// The least-recently-used warm session that is parked (no push in
-    /// flight) — the only kind that can be demoted, since a parked
-    /// session's snapshot is already current on disk.
-    fn lru_parked(&self) -> Option<String> {
-        self.warm
-            .iter()
-            .filter(|(_, e)| e.client.is_some())
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(id, _)| id.clone())
-    }
-}
-
-/// The disk tier behind the session table: the snapshot store plus the
-/// durability counters surfaced by `/v1/stats`. Lock order: the session
-/// table lock and the store lock are never held together except during
-/// cold-session fault-in and demotion, where the table lock is taken
-/// first.
-#[derive(Debug)]
-struct DurableTier {
-    store: Mutex<SessionStore>,
-    /// Warm sessions demoted to the disk tier by LRU eviction.
-    parked_to_disk: AtomicU64,
-    /// Cold sessions promoted back to memory by a push.
-    faulted_in: AtomicU64,
-    /// Snapshots adopted into the cold tier by the boot recovery scan.
-    recovered_on_boot: AtomicU64,
-    /// Snapshots discarded as torn, corrupt, or bound to an unregistered
-    /// artifact (boot scan and runtime fault-in combined).
-    corrupt_discarded: AtomicU64,
-}
-
-/// A point-in-time copy of the durability counters
-/// ([`Server::durability`]; also under `"durability"` in `/v1/stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DurabilityStats {
-    /// Warm sessions demoted to the disk tier by LRU eviction.
-    pub parked_to_disk: u64,
-    /// Cold sessions promoted back to memory by a push.
-    pub faulted_in: u64,
-    /// Snapshots adopted into the cold tier by the boot recovery scan.
-    pub recovered_on_boot: u64,
-    /// Snapshots discarded as torn, corrupt, or bound to an unregistered
-    /// artifact — sessions reported lost rather than resurrected wrong.
-    pub corrupt_discarded: u64,
-    /// Sessions currently parked on disk.
-    pub cold_sessions: u64,
 }
 
 /// Per-route request/error counters (an error is any response ≥ 400).
@@ -440,9 +359,7 @@ struct ServerConfig {
 struct ServerShared {
     /// Registration order preserved for `/v1/stats`.
     models: Vec<(String, ModelEntry)>,
-    sessions: Mutex<SessionTable>,
-    /// The park-to-disk tier; `None` runs the classic memory-only table.
-    durable: Option<DurableTier>,
+    sessions: SessionTable,
     recorder: LatencyRecorder,
     routes: RouteCounters,
     request_log: Mutex<std::collections::VecDeque<RequestLog>>,
@@ -455,10 +372,6 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    fn model_index(&self, name: &str) -> Option<usize> {
-        self.models.iter().position(|(n, _)| n == name)
-    }
-
     fn log_request(
         &self,
         id: &str,
@@ -511,19 +424,6 @@ impl ServerShared {
             .iter()
             .map(|s| s.evictions.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// A point-in-time copy of the durability counters, when a durable
-    /// store is configured.
-    fn durability_stats(&self) -> Option<DurabilityStats> {
-        let tier = self.durable.as_ref()?;
-        Some(DurabilityStats {
-            parked_to_disk: tier.parked_to_disk.load(Ordering::Relaxed),
-            faulted_in: tier.faulted_in.load(Ordering::Relaxed),
-            recovered_on_boot: tier.recovered_on_boot.load(Ordering::Relaxed),
-            corrupt_discarded: tier.corrupt_discarded.load(Ordering::Relaxed),
-            cold_sessions: lock_clean(&self.sessions).cold.len() as u64,
-        })
     }
 }
 
@@ -739,15 +639,17 @@ impl ServerBuilder {
                 )
             })
             .collect();
-        let mut table = SessionTable::default();
-        let durable = match self.store_dir {
-            None => None,
-            Some(dir) => Some(recover_store(dir, self.fsync, &models, &mut table)?),
-        };
+        let artifacts = models
+            .iter()
+            .map(|(name, entry)| (name.clone(), Arc::clone(entry.pool.artifact())))
+            .collect();
+        let mut sessions = SessionTable::new(artifacts, config.session_capacity);
+        if let Some(dir) = self.store_dir {
+            sessions.adopt(dir, self.fsync)?;
+        }
         let shared = Arc::new(ServerShared {
             models,
-            sessions: Mutex::new(table),
-            durable,
+            sessions,
             recorder: LatencyRecorder::new(),
             routes: RouteCounters::default(),
             request_log: Mutex::new(std::collections::VecDeque::new()),
@@ -790,58 +692,6 @@ impl ServerBuilder {
     }
 }
 
-/// Opens the snapshot store and runs the boot-time crash-recovery scan:
-/// torn `.tmp` orphans and snapshots that fail header, payload, or
-/// artifact-digest verification are deleted and counted; survivors are
-/// adopted into the cold tier bound to the registered model whose
-/// [`RuntimeArtifact::state_digest`] matches the snapshot header. A
-/// snapshot for a model that is no longer registered is a discard, not an
-/// error — recovery must always get the server up.
-fn recover_store(
-    dir: PathBuf,
-    fsync: FsyncPolicy,
-    models: &[(String, ModelEntry)],
-    table: &mut SessionTable,
-) -> std::io::Result<DurableTier> {
-    let mut store = SessionStore::open(dir, fsync)?;
-    let digests: Vec<u64> = models
-        .iter()
-        .map(|(_, entry)| entry.pool.artifact().state_digest())
-        .collect();
-    let mut adopted: Vec<(String, usize)> = Vec::new();
-    let report = store.recover(|id, bytes| {
-        // O(1) header probe picks the candidate model; a full restore
-        // then proves the payload decodes before the session is adopted.
-        let Ok(header) = Header::parse(bytes) else {
-            return false;
-        };
-        let Some(index) = digests.iter().position(|&d| d == header.artifact_digest) else {
-            return false;
-        };
-        if models[index]
-            .1
-            .pool
-            .artifact()
-            .restore_client(bytes)
-            .is_err()
-        {
-            return false;
-        }
-        adopted.push((id.to_owned(), index));
-        true
-    })?;
-    for (id, index) in adopted {
-        table.cold.insert(id, index);
-    }
-    Ok(DurableTier {
-        store: Mutex::new(store),
-        parked_to_disk: AtomicU64::new(0),
-        faulted_in: AtomicU64::new(0),
-        recovered_on_boot: AtomicU64::new(report.recovered.len() as u64),
-        corrupt_discarded: AtomicU64::new(report.discarded),
-    })
-}
-
 /// A running serving front-end. Dropping it (or calling
 /// [`Server::shutdown`]) stops accepting and drains in-flight requests.
 #[derive(Debug)]
@@ -861,20 +711,20 @@ impl Server {
     /// Number of warm (in-memory) streaming sessions.
     #[must_use]
     pub fn active_streams(&self) -> usize {
-        lock_clean(&self.shared.sessions).warm.len()
+        self.shared.sessions.stats().warm
     }
 
     /// Number of cold (parked-to-disk) streaming sessions.
     #[must_use]
     pub fn cold_sessions(&self) -> usize {
-        lock_clean(&self.shared.sessions).cold.len()
+        self.shared.sessions.stats().cold
     }
 
     /// Durability counters, when the server was started with
     /// [`ServerBuilder::durable_store`].
     #[must_use]
     pub fn durability(&self) -> Option<DurabilityStats> {
-        self.shared.durability_stats()
+        self.shared.sessions.stats().durability
     }
 
     /// Currently open connections (including parked keep-alive ones),
@@ -1642,8 +1492,7 @@ fn route(
                     return handle_stream_push(shared, shard, token, gen, id, request, request_id);
                 }
                 if let Some(id) = rest.strip_suffix("/close") {
-                    let (status, body) = handle_stream_close(shared, id);
-                    return inline("stream_close", status, body);
+                    return handle_stream_close(shared, id);
                 }
             }
             inline("other", 404, error_body("unknown route"))
@@ -1726,29 +1575,13 @@ fn result_members(model: &str, result: &InferenceResult) -> Vec<(&'static str, J
     ]
 }
 
-/// The 429 produced when a model's admission budget is exhausted. A
-/// dedicated type (rather than a pre-built [`RouteOutcome`]) so callers are
-/// forced through [`Shed::into_outcome`] — every `Err` path visibly settles
-/// its taken session state before converting to a response.
-struct Shed {
-    body: String,
-    retry_after: String,
-}
-
-impl Shed {
-    fn into_outcome(self, route: &'static str) -> RouteOutcome {
-        RouteOutcome::Inline {
-            route,
-            status: 429,
-            body: self.body,
-            extra: vec![("Retry-After", self.retry_after)],
-        }
-    }
-}
-
 /// Admission check: claims one in-flight slot of `entry`'s budget, or
-/// produces the 429 shed response.
-fn admit(shared: &ServerShared, entry: &ModelEntry) -> Result<(), Shed> {
+/// produces the 429 shed response for `route`.
+fn admit(
+    shared: &ServerShared,
+    entry: &ModelEntry,
+    route: &'static str,
+) -> Result<(), RouteOutcome> {
     let limit = shared.config.admission_limit as u64;
     // fetch_add then correct: contention-free fast path, and the transient
     // overshoot is invisible (the slot is released before the 429 returns).
@@ -1756,9 +1589,11 @@ fn admit(shared: &ServerShared, entry: &ModelEntry) -> Result<(), Shed> {
     if occupied >= limit {
         entry.inflight.fetch_sub(1, Ordering::AcqRel);
         entry.shed.fetch_add(1, Ordering::Relaxed);
-        return Err(Shed {
+        return Err(RouteOutcome::Inline {
+            route,
+            status: 429,
             body: error_body("admission queue full: retry later"),
-            retry_after: shared.config.retry_after_s.to_string(),
+            extra: vec![("Retry-After", shared.config.retry_after_s.to_string())],
         });
     }
     Ok(())
@@ -1779,7 +1614,7 @@ fn handle_infer(
     let Some(model_name) = doc.get("model").and_then(Json::as_str) else {
         return inline("infer", 400, error_body("missing 'model'"));
     };
-    let Some(index) = shared.model_index(model_name) else {
+    let Some(index) = shared.models.iter().position(|(n, _)| n == model_name) else {
         return inline("infer", 404, error_body("unknown model"));
     };
     let entry = &shared.models[index].1;
@@ -1791,9 +1626,9 @@ fn handle_infer(
             return inline("infer", 400, error_body(&message));
         }
     };
-    if let Err(shed) = admit(shared, entry) {
+    if let Err(shed) = admit(shared, entry, "infer") {
         entry.errors.fetch_add(1, Ordering::Relaxed);
-        return shed.into_outcome("infer");
+        return shed;
     }
     let callback_shared = Arc::clone(shared);
     let model_name = model_name.to_owned();
@@ -1841,51 +1676,32 @@ fn handle_infer(
     RouteOutcome::Dispatched
 }
 
-/// The 409 body for a `chunk_seq` that does not match the session's
-/// cursor: the client's view of the stream diverged (duplicate, dropped,
-/// or reordered push) and must resynchronize from `chunks_pushed`.
-fn seq_conflict_body(expected: u64, got: u64) -> String {
-    Json::obj(vec![
-        (
-            "error",
-            Json::from("chunk_seq mismatch: duplicate or out-of-order push"),
-        ),
-        ("chunks_pushed", Json::from(expected)),
-        ("got_chunk_seq", Json::from(got)),
-    ])
-    .to_string()
+/// The answer to a refused session checkout or close.
+fn session_refused(route: &'static str, error: SessionError) -> RouteOutcome {
+    let (status, message) = match error {
+        SessionError::Seq { expected, got } => {
+            // The client's view of the stream diverged (duplicate, dropped
+            // or reordered push): it resynchronizes from `chunks_pushed`.
+            let message = "chunk_seq mismatch: duplicate or out-of-order push";
+            let body = Json::obj(vec![
+                ("error", Json::from(message)),
+                ("chunks_pushed", Json::from(expected)),
+                ("got_chunk_seq", Json::from(got)),
+            ]);
+            return inline(route, 409, body.to_string());
+        }
+        SessionError::WrongModel => (400, "session is bound to a different model"),
+        SessionError::ModelRequired => (400, "first push must name a 'model'"),
+        SessionError::UnknownModel => (404, "unknown model"),
+        SessionError::UnknownSession => (404, "unknown session"),
+        SessionError::Busy => (409, "session busy: a push is in flight"),
+        SessionError::Full => (503, "session table full: close idle sessions"),
+        SessionError::Corrupt { .. } => (404, "session snapshot corrupted: session discarded"),
+        SessionError::Missing => (404, "session snapshot missing: session discarded"),
+    };
+    inline(route, status, error_body(message))
 }
 
-/// Makes room in the warm tier by demoting its least-recently-used parked
-/// session to the cold (disk) tier. Demotion is a map move: the victim's
-/// snapshot was already written when its last push parked it. Returns
-/// `false` when nothing is demotable — no durable tier, every warm
-/// session has a push in flight, or the victim's snapshot never reached
-/// disk (a session must not be silently dropped).
-fn demote_lru(sessions: &mut SessionTable, shared: &ServerShared) -> bool {
-    let Some(tier) = shared.durable.as_ref() else {
-        return false;
-    };
-    let Some(victim) = sessions.lru_parked() else {
-        return false;
-    };
-    let Some(entry) = sessions.warm.remove(&victim) else {
-        return false;
-    };
-    let Some(index) = shared.model_index(&entry.model) else {
-        sessions.warm.insert(victim, entry);
-        return false;
-    };
-    if !lock_clean(&tier.store).contains(&victim) {
-        sessions.warm.insert(victim, entry);
-        return false;
-    }
-    sessions.cold.insert(victim, index);
-    tier.parked_to_disk.fetch_add(1, Ordering::Relaxed);
-    true
-}
-
-#[allow(clippy::too_many_lines)]
 fn handle_stream_push(
     shared: &Arc<ServerShared>,
     shard: usize,
@@ -1899,7 +1715,6 @@ fn handle_stream_push(
         Ok(doc) => doc,
         Err(e) => return inline("stream_push", 400, error_body(&e.to_string())),
     };
-    let requested_model = doc.get("model").and_then(Json::as_str);
     let chunk_seq = doc.get("chunk_seq").and_then(Json::as_u64);
     if doc.get("chunk_seq").is_some() && chunk_seq.is_none() {
         return inline(
@@ -1908,271 +1723,77 @@ fn handle_stream_push(
             error_body("invalid 'chunk_seq' (must be an unsigned integer)"),
         );
     }
-
-    // Resolve the session: take its parked client and affinity hint
-    // (marking it busy), fault a cold session back in from the snapshot
-    // store, or create it on first push (which requires a model name and
-    // a free — or evictable — slot in the bounded warm tier).
-    let (model_name, client, created, preferred_lane) = {
-        let mut sessions = lock_clean(&shared.sessions);
-        sessions.clock += 1;
-        let stamp = sessions.clock;
-        if let Some(entry) = sessions.warm.get_mut(id) {
-            if requested_model.is_some_and(|m| m != entry.model) {
-                return inline(
-                    "stream_push",
-                    400,
-                    error_body("session is bound to a different model"),
-                );
+    let requested_model = doc.get("model").and_then(Json::as_str);
+    let (checkout, client) = match shared.sessions.checkout(id, requested_model, chunk_seq) {
+        Ok(taken) => taken,
+        Err(error) => {
+            if let SessionError::Corrupt { model } = error {
+                let errors = &shared.models[model].1.errors;
+                errors.fetch_add(1, Ordering::Relaxed);
             }
-            let Some(client) = entry.client.take() else {
-                return inline(
-                    "stream_push",
-                    409,
-                    error_body("session busy: a push is in flight"),
-                );
-            };
-            if let Some(seq) = chunk_seq {
-                if seq != client.chunks_pushed() {
-                    let expected = client.chunks_pushed();
-                    entry.client = Some(client);
-                    return inline("stream_push", 409, seq_conflict_body(expected, seq));
-                }
-            }
-            entry.last_used = stamp;
-            (entry.model.clone(), client, false, entry.preferred_lane)
-        } else if let Some(&model_index) = sessions.cold.get(id) {
-            // Fault-in: the session was parked to disk. Load and verify
-            // its snapshot, then promote it into the warm tier (evicting
-            // another parked session if the tier is full). A snapshot
-            // that fails verification loses that one session — reported,
-            // counted, deleted — and nothing else.
-            let model_name = shared.models[model_index].0.as_str();
-            if requested_model.is_some_and(|m| m != model_name) {
-                return inline(
-                    "stream_push",
-                    400,
-                    error_body("session is bound to a different model"),
-                );
-            }
-            let Some(tier) = shared.durable.as_ref() else {
-                // Unreachable by construction (cold entries require a
-                // durable tier), but degrade to "unknown" over panicking.
-                sessions.cold.remove(id);
-                return inline("stream_push", 404, error_body("unknown session"));
-            };
-            let loaded = lock_clean(&tier.store).load(id);
-            let client = match loaded {
-                Ok(Some(bytes)) => {
-                    match shared.models[model_index]
-                        .1
-                        .pool
-                        .artifact()
-                        .restore_client(&bytes)
-                    {
-                        Ok(client) => client,
-                        Err(_) => {
-                            sessions.cold.remove(id);
-                            let _ = lock_clean(&tier.store).remove(id);
-                            tier.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
-                            shared.models[model_index]
-                                .1
-                                .errors
-                                .fetch_add(1, Ordering::Relaxed);
-                            return inline(
-                                "stream_push",
-                                404,
-                                error_body("session snapshot corrupted: session discarded"),
-                            );
-                        }
-                    }
-                }
-                Ok(None) | Err(_) => {
-                    sessions.cold.remove(id);
-                    tier.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
-                    return inline(
-                        "stream_push",
-                        404,
-                        error_body("session snapshot missing: session discarded"),
-                    );
-                }
-            };
-            if let Some(seq) = chunk_seq {
-                if seq != client.chunks_pushed() {
-                    // Not yet promoted — the cold entry and its snapshot
-                    // stay untouched.
-                    return inline(
-                        "stream_push",
-                        409,
-                        seq_conflict_body(client.chunks_pushed(), seq),
-                    );
-                }
-            }
-            if sessions.warm.len() >= shared.config.session_capacity
-                && !demote_lru(&mut sessions, shared)
-            {
-                return inline(
-                    "stream_push",
-                    503,
-                    error_body("session table full: close idle sessions"),
-                );
-            }
-            sessions.cold.remove(id);
-            sessions.warm.insert(
-                id.to_owned(),
-                StreamEntry {
-                    model: model_name.to_owned(),
-                    client: None, // busy until this push completes
-                    preferred_lane: None,
-                    last_used: stamp,
-                },
-            );
-            tier.faulted_in.fetch_add(1, Ordering::Relaxed);
-            (model_name.to_owned(), client, false, None)
-        } else {
-            let Some(model_name) = requested_model else {
-                return inline(
-                    "stream_push",
-                    400,
-                    error_body("first push must name a 'model'"),
-                );
-            };
-            let Some(index) = shared.model_index(model_name) else {
-                return inline("stream_push", 404, error_body("unknown model"));
-            };
-            if let Some(seq) = chunk_seq {
-                if seq != 0 {
-                    return inline("stream_push", 409, seq_conflict_body(0, seq));
-                }
-            }
-            if sessions.warm.len() >= shared.config.session_capacity
-                && !demote_lru(&mut sessions, shared)
-            {
-                return inline(
-                    "stream_push",
-                    503,
-                    error_body("session table full: close idle sessions"),
-                );
-            }
-            let client = shared.models[index].1.pool.artifact().new_client();
-            sessions.warm.insert(
-                id.to_owned(),
-                StreamEntry {
-                    model: model_name.to_owned(),
-                    client: None, // busy until this push completes
-                    preferred_lane: None,
-                    last_used: stamp,
-                },
-            );
-            (model_name.to_owned(), client, true, None)
+            return session_refused("stream_push", error);
         }
     };
-
-    let index = shared
-        .model_index(&model_name)
-        .expect("session names a model");
+    let index = checkout.model();
     let entry = &shared.models[index].1;
     entry.requests.fetch_add(1, Ordering::Relaxed);
-
-    // Settles a failed push on the reactor thread (parse/admission errors
-    // happen before dispatch): a failed FIRST push removes the freshly
-    // created entry — the client was never told a session exists, so
-    // keeping it would leak one table slot per bad request.
-    let settle_error_inline = |client: ClientState| {
-        let mut sessions = lock_clean(&shared.sessions);
-        if created {
-            sessions.warm.remove(id);
-        } else if let Some(entry) = sessions.warm.get_mut(id) {
-            entry.client = Some(client);
-        }
-    };
-
     let chunk = match parse_event_stream(&doc, entry.pool.artifact()) {
         Ok(chunk) => chunk,
         Err(message) => {
             entry.errors.fetch_add(1, Ordering::Relaxed);
-            settle_error_inline(client);
+            shared.sessions.abandon(checkout, client);
             return inline("stream_push", 400, error_body(&message));
         }
     };
-    if let Err(shed) = admit(shared, entry) {
+    if let Err(shed) = admit(shared, entry, "stream_push") {
         entry.errors.fetch_add(1, Ordering::Relaxed);
-        settle_error_inline(client);
-        return shed.into_outcome("stream_push");
+        shared.sessions.abandon(checkout, client);
+        return shed;
     }
 
     let callback_shared = Arc::clone(shared);
-    let session_id = id.to_owned();
+    let session = id.to_owned();
     let request_id = request_id.to_owned();
     let keep_alive = request.keep_alive;
-    // Interactive priority lane, with the parked affinity hint: the warm
-    // engine when the fleet has room, any engine (bit-identically) when
-    // load says otherwise. The callback re-parks the advanced client state
-    // — even when the connection has meanwhile died, so a mid-stream client
-    // disconnect frees the session slot instead of wedging it busy. The
-    // response itself is rendered later, on the connection's reactor shard:
-    // only the durable write-ahead park stays here, because its ordering
-    // guarantee (snapshot on disk before the session is unmarked busy and
-    // before the client can see the ack) is what crash recovery rests on.
+    let preferred_lane = checkout.preferred_lane;
+    // Interactive priority lane, with the parked affinity hint. The callback
+    // settles the checkout even when the connection has died, so a
+    // mid-stream disconnect cannot wedge the session busy. The response is
+    // rendered later, on the connection's shard; only the write-ahead park
+    // stays on the worker, because crash recovery rests on its ordering:
+    // snapshot on disk before the session is unmarked and acknowledged.
     entry
         .scheduler
         .call_push_async(client, chunk, preferred_lane, move |record| {
             let shared = callback_shared;
-            let entry = &shared.models[index].1;
+            let (model_name, entry) = &shared.models[index];
             entry.inflight.fetch_sub(1, Ordering::AcqRel);
             shared
                 .recorder
                 .record(record.queue_us, record.service_us, record.result.is_err());
-            let client = record.client;
-            let chunks_pushed = client.chunks_pushed();
-            let park = |session_id: &str, client: ClientState, served_lane: Option<usize>| {
-                let mut sessions = lock_clean(&shared.sessions);
-                sessions.clock += 1;
-                let stamp = sessions.clock;
-                if let Some(entry) = sessions.warm.get_mut(session_id) {
-                    entry.client = Some(client);
-                    entry.last_used = stamp;
-                    if served_lane.is_some() {
-                        entry.preferred_lane = served_lane;
-                    }
-                }
-            };
+            let chunks_pushed = record.client.chunks_pushed();
             let (status, body) = match record.result {
-                Ok(output) => {
-                    // Write-ahead park: the advanced state reaches the
-                    // durable store *before* the session is unmarked busy
-                    // (and before the client sees the response), so a
-                    // crash after this point replays from the chunk just
-                    // acknowledged, never an older one. The session is
-                    // busy for the whole write — close/evict cannot race
-                    // it. A failed write degrades the session to its
-                    // previous snapshot (best effort), never to a torn
-                    // one: the store commits via rename.
-                    if let Some(tier) = shared.durable.as_ref() {
-                        let bytes = entry.pool.artifact().snapshot_client(&client);
-                        let _ = lock_clean(&tier.store).park(&session_id, &bytes);
-                    }
-                    park(&session_id, client, Some(record.lane));
-                    (
+                Ok(output) => match shared.sessions.park(checkout, record.client, record.lane) {
+                    Ok(()) => (
                         200,
                         ResponseBody::Push {
-                            session: session_id,
-                            model: model_name,
+                            session,
+                            model: model_name.clone(),
                             output,
                             chunks_pushed,
                             lane: record.lane,
                         },
-                    )
-                }
+                    ),
+                    Err(error) => {
+                        entry.errors.fetch_add(1, Ordering::Relaxed);
+                        let message =
+                            format!("write-ahead park failed, chunk not applied: {error}");
+                        (503, ResponseBody::Ready(error_body(&message)))
+                    }
+                },
                 Err(error) => {
                     entry.errors.fetch_add(1, Ordering::Relaxed);
-                    if created {
-                        // The first push never parked a snapshot, so the
-                        // table entry is the only state to reclaim.
-                        lock_clean(&shared.sessions).warm.remove(&session_id);
-                    } else {
-                        park(&session_id, client, None);
-                    }
+                    shared.sessions.abandon(checkout, record.client);
                     (400, ResponseBody::Ready(error_body(&error.to_string())))
                 }
             };
@@ -2192,73 +1813,14 @@ fn handle_stream_push(
     RouteOutcome::Dispatched
 }
 
-fn handle_stream_close(shared: &ServerShared, id: &str) -> (u16, String) {
-    // Transient local, moved out immediately — boxing the warm entry
-    // would buy nothing but an allocation per close.
-    #[allow(clippy::large_enum_variant)]
-    enum Closed {
-        Warm(StreamEntry),
-        Cold(usize),
-    }
-    let closed = {
-        let mut sessions = lock_clean(&shared.sessions);
-        if sessions.warm.get(id).is_some_and(|e| e.client.is_none()) {
-            return (409, error_body("session busy: a push is in flight"));
-        }
-        if let Some(entry) = sessions.warm.remove(id) {
-            Closed::Warm(entry)
-        } else if let Some(index) = sessions.cold.remove(id) {
-            Closed::Cold(index)
-        } else {
-            return (404, error_body("unknown session"));
-        }
+fn handle_stream_close(shared: &ServerShared, id: &str) -> RouteOutcome {
+    let (index, client) = match shared.sessions.close(id) {
+        Ok(closed) => closed,
+        Err(error) => return session_refused("stream_close", error),
     };
-    // Either way the id is fully reclaimed: table entry gone above, disk
-    // snapshot gone below — a closed session cannot resurrect on restart.
-    let (model_name, index, client) = match closed {
-        Closed::Warm(entry) => {
-            if let Some(tier) = shared.durable.as_ref() {
-                let _ = lock_clean(&tier.store).remove(id);
-            }
-            let index = shared
-                .model_index(&entry.model)
-                .expect("session names a model");
-            let client = entry.client.expect("checked non-busy");
-            (entry.model, index, client)
-        }
-        Closed::Cold(index) => {
-            let Some(tier) = shared.durable.as_ref() else {
-                return (404, error_body("unknown session"));
-            };
-            let bytes = lock_clean(&tier.store).load(id);
-            let _ = lock_clean(&tier.store).remove(id);
-            // The close summary needs the parked state; a snapshot that
-            // no longer verifies still closes the session (everything is
-            // reclaimed), it just cannot report a summary.
-            let restored = match bytes {
-                Ok(Some(bytes)) => shared.models[index]
-                    .1
-                    .pool
-                    .artifact()
-                    .restore_client(&bytes),
-                Ok(None) => Err(sne::SneError::from(sne_store::StoreError::Malformed(
-                    "snapshot missing",
-                ))),
-                Err(e) => Err(sne::SneError::from(sne_store::StoreError::from(e))),
-            };
-            let Ok(client) = restored else {
-                tier.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
-                return (
-                    404,
-                    error_body("session snapshot corrupted: session discarded"),
-                );
-            };
-            (shared.models[index].0.clone(), index, client)
-        }
-    };
-    let model = &shared.models[index].1;
+    let (model_name, model) = &shared.models[index];
     let summary = model.pool.artifact().summary(&client);
-    let mut members = result_members(&model_name, &summary);
+    let mut members = result_members(model_name, &summary);
     members.insert(0, ("session", Json::from(id)));
     members.push(("closed", Json::from(true)));
     members.push(("chunks_pushed", Json::from(client.chunks_pushed())));
@@ -2266,7 +1828,7 @@ fn handle_stream_close(shared: &ServerShared, id: &str) -> (u16, String) {
         "elapsed_timesteps",
         Json::from(u64::from(client.elapsed_timesteps())),
     ));
-    (200, Json::obj(members).to_string())
+    inline("stream_close", 200, Json::obj(members).to_string())
 }
 
 fn latency_json(summary: &LatencySummary) -> Json {
@@ -2296,6 +1858,7 @@ fn healthz_body(shared: &ServerShared) -> String {
 
 fn stats_body(shared: &ServerShared) -> String {
     let stats = shared.recorder.stats();
+    let sessions = shared.sessions.stats();
     let uptime_s = shared.started.elapsed().as_secs_f64();
     let throughput_rps = if uptime_s > 0.0 {
         stats.completed as f64 / uptime_s
@@ -2332,7 +1895,6 @@ fn stats_body(shared: &ServerShared) -> String {
                         ("steals", Json::from(sched.steals)),
                         ("affinity_hits", Json::from(sched.affinity_hits)),
                         ("affinity_misses", Json::from(sched.affinity_misses)),
-                        ("coalesced", Json::from(sched.coalesced)),
                     ]),
                 )
             })
@@ -2365,10 +1927,7 @@ fn stats_body(shared: &ServerShared) -> String {
         ("completed", Json::from(stats.completed)),
         ("errors", Json::from(stats.errors)),
         ("throughput_rps", Json::from(throughput_rps)),
-        (
-            "active_streams",
-            Json::from(lock_clean(&shared.sessions).warm.len()),
-        ),
+        ("active_streams", Json::from(sessions.warm)),
         ("connections", Json::from(shared.open_connections())),
         ("evictions", Json::from(shared.evictions_total())),
         (
@@ -2393,7 +1952,7 @@ fn stats_body(shared: &ServerShared) -> String {
         ("recent_requests", recent),
         ("models", models),
     ];
-    if let Some(d) = shared.durability_stats() {
+    if let Some(d) = sessions.durability {
         members.push((
             "durability",
             Json::obj(vec![
@@ -2401,6 +1960,7 @@ fn stats_body(shared: &ServerShared) -> String {
                 ("faulted_in", Json::from(d.faulted_in)),
                 ("recovered_on_boot", Json::from(d.recovered_on_boot)),
                 ("corrupt_discarded", Json::from(d.corrupt_discarded)),
+                ("park_failures", Json::from(d.park_failures)),
                 ("cold_sessions", Json::from(d.cold_sessions)),
             ]),
         ));

@@ -277,27 +277,6 @@ fn threaded_sessions_match_sequential_end_to_end() {
 }
 
 #[test]
-fn threaded_pipelined_session_matches_sequential() {
-    let network = compiled(23);
-    let stream = sne::proportionality::stream_with_activity((2, 8, 8), 24, 0.04, 77);
-    let mut sequential = PipelinedSession::new(network.clone(), SneConfig::with_slices(8)).unwrap();
-    let expected = sequential.infer(&stream).unwrap();
-    for threads in THREADS {
-        let mut session = PipelinedSession::with_exec(
-            network.clone(),
-            SneConfig::with_slices(8),
-            ExecStrategy::threaded(threads),
-        )
-        .unwrap();
-        assert_eq!(
-            session.infer(&stream).unwrap(),
-            expected,
-            "threads = {threads}"
-        );
-    }
-}
-
-#[test]
 fn execution_units_are_send() {
     fn assert_send<T: Send>() {}
     // The tentpole's structural requirement: every execution unit can move

@@ -5,7 +5,8 @@
 //! left memory, a graceful restart must adopt every parked session, a
 //! closed session must be fully reclaimed (no disk leak, no resurrection
 //! after restart), corrupt snapshots must cost exactly the one session,
-//! and the `chunk_seq` guard must fence duplicate/out-of-order pushes.
+//! the `chunk_seq` guard must fence duplicate/out-of-order pushes, and a
+//! push whose write-ahead park fails must be refused, not acknowledged.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -366,6 +367,89 @@ fn chunk_seq_fences_duplicate_and_out_of_order_pushes() {
     let bad = format!("{{\"chunk_seq\":\"zero\",{}", &body[1..]);
     let (status, _) = client::post(addr, "/v1/stream/t/push", &bad).unwrap();
     assert_eq!(status, 400);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_park_is_refused_and_the_session_resumes_from_its_last_snapshot() {
+    let network = Arc::new(compiled(45));
+    let dir = store_dir("park-fail");
+    let server = durable_server(&network, &dir, 8);
+    let addr = server.addr();
+    let chunks: Vec<EventStream> = sample(960).chunks(4).collect();
+    let mut reference =
+        InferenceSession::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap();
+    let seq_push = |session: &str, chunk: &EventStream, seq: u64| {
+        let body = client::infer_body("tiny", chunk);
+        let body = format!("{{\"chunk_seq\":{seq},{}", &body[1..]);
+        client::post(addr, &format!("/v1/stream/{session}/push"), &body).unwrap()
+    };
+
+    reference.push(&chunks[0]).unwrap();
+    let (status, body) = seq_push("s", &chunks[0], 0);
+    assert_eq!(status, 200, "{body}");
+
+    // A directory where the store writes the session's tmp file makes the
+    // next park fail: the push is refused, counted, and not applied.
+    let blocker = dir.join(format!("s{}.tmp", hex("s")));
+    std::fs::create_dir(&blocker).unwrap();
+    let (status, body) = seq_push("s", &chunks[1], 1);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(durability(&server).park_failures, 1);
+    let (status, body) = seq_push("s", &chunks[2], 2);
+    assert_eq!(status, 409, "{body}");
+    let doc = Json::parse(&body).unwrap();
+    assert_eq!(doc.get("chunks_pushed").and_then(Json::as_u64), Some(1));
+
+    // Once the disk recovers, the same chunk is accepted and the stream
+    // continues bit-identically to a session that saw each chunk once.
+    std::fs::remove_dir(&blocker).unwrap();
+    for (seq, chunk) in chunks.iter().enumerate().skip(1) {
+        let expected = reference.push(chunk).unwrap();
+        let (status, body) = seq_push("s", chunk, seq as u64);
+        assert_eq!(status, 200, "{body}");
+        let doc = Json::parse(&body).unwrap();
+        assert_eq!(response_events(&doc), stream_events(&expected.output));
+    }
+    let (status, closed) = client::post(addr, "/v1/stream/s/close", "").unwrap();
+    assert_eq!(status, 200, "{closed}");
+    let doc = Json::parse(&closed).unwrap();
+    let summary = reference.summary();
+    let counts: Vec<u64> = summary
+        .output_spike_counts
+        .iter()
+        .map(|&c| u64::from(c))
+        .collect();
+    let served_counts: Vec<u64> = doc
+        .get("output_spike_counts")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|c| c.as_u64().unwrap())
+        .collect();
+    assert_eq!(served_counts, counts);
+    let u = |key: &str| doc.get(key).and_then(Json::as_u64);
+    let bits = |key: &str| doc.get(key).and_then(Json::as_f64).map(f64::to_bits);
+    assert_eq!(u("predicted_class"), Some(summary.predicted_class as u64));
+    assert_eq!(u("total_cycles"), Some(summary.stats.total_cycles));
+    assert_eq!(u("synaptic_ops"), Some(summary.stats.synaptic_ops));
+    assert_eq!(u("chunks_pushed"), Some(chunks.len() as u64));
+    assert_eq!(bits("energy_uj"), Some(summary.energy.energy_uj.to_bits()));
+    assert_eq!(
+        bits("inference_time_ms"),
+        Some(summary.inference_time_ms.to_bits())
+    );
+    assert_eq!(bits("mean_activity"), Some(summary.mean_activity.to_bits()));
+
+    // A first push that cannot park leaves no session behind.
+    std::fs::create_dir(dir.join(format!("s{}.tmp", hex("fresh")))).unwrap();
+    let (status, body) = seq_push("fresh", &chunks[0], 0);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(durability(&server).park_failures, 2);
+    let (status, _) = client::post(addr, "/v1/stream/fresh/close", "").unwrap();
+    assert_eq!(status, 404);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
