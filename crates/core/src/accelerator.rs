@@ -2,15 +2,12 @@
 
 use std::sync::Arc;
 
-use sne_energy::{EnergyModel, PerformanceModel};
 use sne_event::EventStream;
 use sne_sim::{Engine, ExecStrategy, LayerMapping, LayerPlan, SneConfig};
 
 use crate::compile::{CompiledNetwork, Stage};
 use crate::run::InferenceResult;
-use crate::session::{
-    check_geometry, classify, pipeline_engines, pipeline_shares, run_stages, wavefront_makespan,
-};
+use crate::session::{check_geometry, run_stages, wavefront_makespan};
 use crate::SneError;
 
 /// An SNE instance ready to run compiled networks.
@@ -22,8 +19,6 @@ use crate::SneError;
 #[derive(Debug)]
 pub struct SneAccelerator {
     engine: Engine,
-    energy: EnergyModel,
-    performance: PerformanceModel,
     /// Sparse-datapath plan set of the most recent network, reused across
     /// calls: repeated `run`s against the same network skip the
     /// configure-time plan compilation (the weight digest is re-verified per
@@ -45,8 +40,6 @@ impl SneAccelerator {
     pub fn with_exec(config: SneConfig, exec: ExecStrategy) -> Self {
         Self {
             engine: Engine::with_exec(config, exec),
-            energy: EnergyModel::new(),
-            performance: PerformanceModel::new(),
             cached_plans: None,
         }
     }
@@ -81,17 +74,6 @@ impl SneAccelerator {
         self.engine.config()
     }
 
-    /// The execution strategy of the engine's per-slice worker units.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.engine.exec()
-    }
-
-    /// Changes the execution strategy (never changes results).
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.engine.set_exec(exec);
-    }
-
     /// The underlying cycle-level engine (e.g. to enable tracing).
     #[must_use]
     pub fn engine_mut(&mut self) -> &mut Engine {
@@ -102,9 +84,9 @@ impl SneAccelerator {
     ///
     /// Every call executes the compiled stages on this accelerator's engine,
     /// starting from resting neuron state. For repeated inference on the same
-    /// network prefer an [`crate::session::InferenceSession`], which is what
-    /// this method routes through — the session additionally keeps the
-    /// per-layer state buffers alive across calls and supports streaming.
+    /// network prefer an [`crate::session::InferenceSession`], which runs the
+    /// same stage walk and additionally keeps the per-layer state buffers
+    /// alive across calls and supports streaming.
     ///
     /// # Errors
     ///
@@ -119,8 +101,6 @@ impl SneAccelerator {
         if network.accelerated_layers() == 0 {
             return Err(SneError::EmptyNetwork);
         }
-
-        let config = *self.engine.config();
         // Configure-time work is cached across calls: the sparse-datapath
         // tables are compiled on the first run of a network and reused
         // (digest-verified) until a different network shows up.
@@ -133,37 +113,17 @@ impl SneAccelerator {
             None,
             false,
         )?;
-
-        // The final stream's neurons are the classes; count spikes per class.
-        let (predicted_class, counts) =
-            classify(&outcome.stream, usize::from(network.output_classes()));
-        let energy = self.energy.report(&config, &outcome.total);
-        let inference_time_ms = self.performance.inference_time_ms(&config, &outcome.total);
-        let inference_rate = self.performance.inference_rate(&config, &outcome.total);
-        let mean_activity = outcome.mean_activity();
-
-        Ok(InferenceResult {
-            predicted_class,
-            output_spike_counts: counts,
-            stats: outcome.total,
-            layers: outcome.layers,
-            energy,
-            inference_time_ms,
-            inference_rate,
-            mean_activity,
-        })
+        Ok(outcome.into_result(self.engine.config(), usize::from(network.output_classes())))
     }
-}
 
-impl SneAccelerator {
     /// Runs one inference in the **pipelined layer-per-slice mode** of paper
     /// §III-D.5: the engine's slices are partitioned among the accelerated
     /// layers, every layer must fit its allocation in a single pass, output
     /// events flow to the next layer through the C-XBAR instead of external
     /// memory, and all layers execute concurrently. Functionally the result
     /// is identical to [`SneAccelerator::run`]; the timing differs — the
-    /// inference duration is the *makespan* (the slowest layer) rather than
-    /// the sum of the layer runtimes.
+    /// inference duration is the *makespan* of the overlapped layer
+    /// schedules rather than the sum of the layer runtimes.
     ///
     /// # Errors
     ///
@@ -177,41 +137,74 @@ impl SneAccelerator {
     ) -> Result<InferenceResult, SneError> {
         check_geometry(network, input)?;
         let config = *self.engine.config();
-        // Distribute the slices: every layer gets an equal share, the first
-        // `num_slices % layers` layers get one extra slice. The one-shot
-        // entry point discards neuron state at the end, so run stateless;
-        // `PipelinedSession` is the persistent variant.
-        let shares = pipeline_shares(network, &config)?;
-        let mut engines = pipeline_engines(&config, &shares, self.engine.exec());
+        // One engine per layer, configured with that layer's slice share.
+        // The one-shot entry point discards neuron state at the end, so the
+        // layers run stateless.
+        let mut engines: Vec<Engine> = pipeline_shares(network, &config)?
+            .into_iter()
+            .map(|num_slices| {
+                Engine::with_exec(
+                    SneConfig {
+                        num_slices,
+                        ..config
+                    },
+                    self.engine.exec(),
+                )
+            })
+            .collect();
         let plans = self.plans_for(network);
-        let outcome = run_stages(&mut engines, network, input, Some(&plans), None, false)?;
-
-        // In the pipelined mode the layers overlap in time: the inference
-        // duration is the makespan of the wavefront across the real
-        // per-timestep layer schedules — layer `l` starts timestep `t` once
-        // it finished `t - 1` and layer `l - 1` delivered `t` over the
-        // C-XBAR.
-        let mut pipeline_stats = outcome.total;
-        pipeline_stats.total_cycles = wavefront_makespan(&outcome.profiles);
-
-        let (predicted_class, counts) =
-            classify(&outcome.stream, usize::from(network.output_classes()));
-        let energy = self.energy.report(&config, &pipeline_stats);
-        let inference_time_ms = self.performance.inference_time_ms(&config, &pipeline_stats);
-        let inference_rate = self.performance.inference_rate(&config, &pipeline_stats);
-        let mean_activity = outcome.mean_activity();
-
-        Ok(InferenceResult {
-            predicted_class,
-            output_spike_counts: counts,
-            stats: pipeline_stats,
-            layers: outcome.layers,
-            energy,
-            inference_time_ms,
-            inference_rate,
-            mean_activity,
-        })
+        let mut outcome = run_stages(&mut engines, network, input, Some(&plans), None, false)?;
+        // The layers overlap in time: the inference duration is the
+        // makespan of the wavefront across the real per-timestep layer
+        // schedules — layer `l` starts timestep `t` once it finished `t - 1`
+        // and layer `l - 1` delivered `t` over the C-XBAR.
+        outcome.total.total_cycles = wavefront_makespan(&outcome.profiles);
+        Ok(outcome.into_result(&config, usize::from(network.output_classes())))
     }
+}
+
+/// Slice allocation of the pipelined layer-per-slice mapping mode: every
+/// accelerated layer gets an equal share of the slices, the first
+/// `num_slices % layers` layers get one extra.
+///
+/// # Errors
+///
+/// Returns [`SneError::PipelineDoesNotFit`] if there are fewer slices than
+/// layers or a layer exceeds its allocation in a single pass.
+fn pipeline_shares(network: &CompiledNetwork, config: &SneConfig) -> Result<Vec<usize>, SneError> {
+    let accelerated = network.accelerated_layers();
+    if accelerated == 0 {
+        return Err(SneError::EmptyNetwork);
+    }
+    if config.num_slices < accelerated {
+        return Err(SneError::PipelineDoesNotFit {
+            layer: "whole network".to_owned(),
+            required_neurons: accelerated * config.neurons_per_slice(),
+            available_neurons: config.num_slices * config.neurons_per_slice(),
+        });
+    }
+    let base_share = config.num_slices / accelerated;
+    let remainder = config.num_slices % accelerated;
+    let mut shares = Vec::with_capacity(accelerated);
+    for stage in network.stages() {
+        if let Stage::Accelerated {
+            mapping,
+            description,
+        } = stage
+        {
+            let slices = base_share + usize::from(shares.len() < remainder);
+            let available = slices * config.neurons_per_slice();
+            if mapping.total_output_neurons() > available {
+                return Err(SneError::PipelineDoesNotFit {
+                    layer: description.clone(),
+                    required_neurons: mapping.total_output_neurons(),
+                    available_neurons: available,
+                });
+            }
+            shares.push(slices);
+        }
+    }
+    Ok(shares)
 }
 
 #[cfg(test)]
@@ -366,6 +359,26 @@ mod tests {
             accelerator.run_pipelined(&network, &stream),
             Err(SneError::PipelineDoesNotFit { .. })
         ));
+    }
+
+    #[test]
+    fn pipelined_mode_returns_layer_errors_unchanged() {
+        // Valid geometry, but an event outside the first layer's mapped
+        // feature map: layer 0's engine (4 of the 8 slices) rejects it, and
+        // the pipelined run returns that simulator error as it is.
+        let network = compiled();
+        let mut stream = EventStream::new(8, 8, 2, 4);
+        stream.push_unchecked(Event::update(0, 7, 3, 3)); // channel out of range
+        let mapping = network.stages().iter().find_map(Stage::mapping).unwrap();
+        let plan = &network.build_plans()[0];
+        let expected = Engine::new(SneConfig::with_slices(4))
+            .run_layer_planned(mapping, plan, &stream)
+            .unwrap_err();
+        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(8));
+        assert_eq!(
+            accelerator.run_pipelined(&network, &stream).unwrap_err(),
+            SneError::Sim(expected)
+        );
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! the runtime into two halves with very different lifetimes:
 //!
 //! * [`RuntimeArtifact`] is the **immutable, shared** half: the compiled
-//!   network, the `Arc`-shared sparse-datapath plan set, the engine
-//!   configuration and the energy/performance models. One artifact is built
-//!   once per (network, configuration) pair and then serves any number of
-//!   concurrent clients — it is `Send + Sync` plain data, so engines on any
-//!   thread can execute against it.
+//!   network, the `Arc`-shared sparse-datapath plan set and the engine
+//!   configuration. One artifact is built once per (network, configuration)
+//!   pair and then serves any number of concurrent clients — it is
+//!   `Send + Sync` plain data, so engines on any thread can execute against
+//!   it.
 //! * [`ClientState`] is the **mutable, per-client** half: the per-layer
 //!   persistent neuron state plus the streaming cursor and result
 //!   accumulators. It is cheap (a few state buffers), carries no engine, and
@@ -23,7 +23,6 @@
 
 use std::sync::Arc;
 
-use sne_energy::{EnergyModel, PerformanceModel};
 use sne_event::stream::Geometry;
 use sne_event::{Event, EventStream};
 use sne_sim::{
@@ -32,7 +31,7 @@ use sne_sim::{
 
 use crate::compile::{CompiledNetwork, Stage};
 use crate::run::{InferenceResult, LayerExecution};
-use crate::session::{check_geometry, classify, run_stages, ChunkOutput};
+use crate::session::{check_geometry, class_counts, run_stages, ChunkOutput};
 use crate::SneError;
 
 /// Per-layer accumulation across the chunks of a streamed inference.
@@ -46,8 +45,8 @@ pub(crate) struct LayerTotals {
 }
 
 /// The immutable, shareable half of the run-many runtime: compiled network,
-/// sparse-datapath plans, engine configuration and the energy/performance
-/// models — everything that is read-only at serving time.
+/// sparse-datapath plans and engine configuration — everything that is
+/// read-only at serving time.
 ///
 /// Build it once ([`RuntimeArtifact::new`]), wrap it in an [`Arc`], and any
 /// number of engines/clients can execute against it concurrently. The plans
@@ -59,8 +58,6 @@ pub struct RuntimeArtifact {
     network: Arc<CompiledNetwork>,
     plans: Arc<Vec<LayerPlan>>,
     config: SneConfig,
-    energy: EnergyModel,
-    performance: PerformanceModel,
 }
 
 impl RuntimeArtifact {
@@ -118,8 +115,6 @@ impl RuntimeArtifact {
             network,
             plans,
             config,
-            energy: EnergyModel::new(),
-            performance: PerformanceModel::new(),
         })
     }
 
@@ -227,7 +222,7 @@ impl RuntimeArtifact {
             totals.input_events += layer.input_events;
             totals.output_events += layer.output_events;
         }
-        let (_, counts) = classify(&outcome.stream, client.class_counts.len());
+        let counts = class_counts(&outcome.stream, client.class_counts.len());
         for (acc, c) in client.class_counts.iter_mut().zip(counts) {
             *acc += c;
         }
@@ -277,29 +272,6 @@ impl RuntimeArtifact {
         Ok(self.summary(client))
     }
 
-    /// Attaches the artifact's energy/performance models to measured cycle
-    /// statistics — the single formula every entry point uses to turn a
-    /// finished run into an [`InferenceResult`].
-    pub(crate) fn result_from_stats(
-        &self,
-        stats: CycleStats,
-        predicted_class: usize,
-        output_spike_counts: Vec<u32>,
-        layers: Vec<LayerExecution>,
-        mean_activity: f64,
-    ) -> InferenceResult {
-        InferenceResult {
-            predicted_class,
-            output_spike_counts,
-            energy: self.energy.report(&self.config, &stats),
-            inference_time_ms: self.performance.inference_time_ms(&self.config, &stats),
-            inference_rate: self.performance.inference_rate(&self.config, &stats),
-            stats,
-            layers,
-            mean_activity,
-        }
-    }
-
     /// The inference result `client` has accumulated since its last
     /// [`ClientState::reset`]: prediction and spike counts over all pushed
     /// chunks, per-layer statistics, energy and timing of the whole streamed
@@ -327,16 +299,9 @@ impl RuntimeArtifact {
                 }
             })
             .collect();
-        let predicted_class = client
-            .class_counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.result_from_stats(
+        InferenceResult::from_run(
+            &self.config,
             client.total,
-            predicted_class,
             client.class_counts.clone(),
             layers,
             activity_sum / client.layer_totals.len().max(1) as f64,

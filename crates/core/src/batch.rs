@@ -8,29 +8,27 @@
 //! that split in three tiers:
 //!
 //! * [`EnginePool`] holds N warm engines (plus a scratch [`ClientState`]
-//!   each) built from one shared [`RuntimeArtifact`]. Engines can be checked
-//!   out ad hoc, but under a [`Scheduler`] each worker owns one warm engine
-//!   for its whole lifetime — no per-request checkout churn.
+//!   each) built from one shared [`RuntimeArtifact`]. Under a [`Scheduler`]
+//!   each worker checks one engine out for its whole lifetime — no
+//!   per-request checkout churn.
 //! * [`Scheduler`] is a **work-stealing** run-queue fabric (std
 //!   `Mutex`/`Condvar`/`mpsc`, no new dependencies): every worker owns one
-//!   engine and a local double-ended queue, submissions go to the affine or
-//!   least-loaded worker, and an idle worker steals from the tail of the
-//!   most-loaded one — so one hot queue can never strand the rest of the
-//!   fleet idle (the `[0, 0, 0, 0.98]` lane-utilization collapse of the old
-//!   single-FIFO design). Two priority lanes separate interactive round
-//!   trips ([`Scheduler::call`] / [`Scheduler::call_push`]) from bulk
-//!   [`Scheduler::submit`] batches, with a bypass budget that keeps the bulk
-//!   lane progressing under sustained interactive load. Every completion
-//!   carries its **queue-wait** and **service** latency ([`RequestRecord`]).
-//!   Streaming clients may pass a lane **affinity hint**; because state is
-//!   engine-agnostic ([`RuntimeArtifact::push`]), affinity is an
-//!   optimization only — a stolen (affinity-miss) request is bit-identical.
+//!   engine and a local double-ended queue, requests go to the affine or
+//!   least-loaded worker, the owner serves its queue oldest first, and an
+//!   idle worker steals the newest job of the most-loaded one — so one hot
+//!   queue can never strand the rest of the fleet idle (the
+//!   `[0, 0, 0, 0.98]` lane-utilization collapse of the old single-FIFO
+//!   design). Every completion carries its **queue-wait** and **service**
+//!   latency ([`RequestRecord`]). Streaming clients may pass a lane
+//!   **affinity hint**; because state is engine-agnostic
+//!   ([`RuntimeArtifact::push`]), affinity is an optimization only — a
+//!   stolen (affinity-miss) request is bit-identical.
 //! * [`BatchRunner`] is the closed-batch convenience preserved from the
 //!   earlier lane-pinned runner: [`BatchRunner::run`] submits every stream,
-//!   drains, and aggregates a [`BatchReport`]. The legacy statically-pinned
+//!   drains, and aggregates a [`BatchReport`]. The statically pinned
 //!   round-robin walk survives as [`BatchRunner::run_round_robin`] — the
-//!   reference oracle the dynamic scheduler is proven bit-identical against
-//!   (`tests/scheduler_equivalence.rs`).
+//!   sequential reference oracle the dynamic scheduler is proven
+//!   bit-identical against (`tests/scheduler_equivalence.rs`).
 //!
 //! Because every request starts from resting neuron state (`infer` resets
 //! the engine's scratch client first), *which* engine serves a request can
@@ -39,7 +37,7 @@
 //! every [`ExecStrategy`]. Only the host-measured latencies differ.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -111,6 +109,15 @@ pub struct PooledEngine {
 }
 
 impl PooledEngine {
+    fn new(lane: usize, artifact: &Arc<RuntimeArtifact>, exec: ExecStrategy) -> Self {
+        Self {
+            lane,
+            artifact: Arc::clone(artifact),
+            engine: artifact.new_engine(exec),
+            scratch: artifact.new_client(),
+        }
+    }
+
     /// Stable index of this engine within its pool (`0..lanes`).
     #[must_use]
     pub fn lane(&self) -> usize {
@@ -152,16 +159,15 @@ impl PooledEngine {
 }
 
 /// A fixed fleet of warm engines sharing one [`RuntimeArtifact`]: check one
-/// out per request, run, check it back in. [`EnginePool::checkout`] blocks
-/// until an engine is free, which is what turns N engines plus any number of
-/// request threads into a well-formed queueing system.
+/// out, run, check it back in. [`EnginePool::checkout`] blocks until an
+/// engine is free; a [`Scheduler`] checks out one engine per worker for its
+/// whole lifetime.
 #[derive(Debug)]
 pub struct EnginePool {
     artifact: Arc<RuntimeArtifact>,
     idle: Mutex<Vec<PooledEngine>>,
     available: Condvar,
     lanes: usize,
-    engine_exec: ExecStrategy,
 }
 
 impl EnginePool {
@@ -182,19 +188,13 @@ impl EnginePool {
             return Err(SneError::EmptyBatch);
         }
         let idle = (0..lanes)
-            .map(|lane| PooledEngine {
-                lane,
-                artifact: Arc::clone(&artifact),
-                engine: artifact.new_engine(engine_exec),
-                scratch: artifact.new_client(),
-            })
+            .map(|lane| PooledEngine::new(lane, &artifact, engine_exec))
             .collect();
         Ok(Self {
             artifact,
             idle: Mutex::new(idle),
             available: Condvar::new(),
             lanes,
-            engine_exec,
         })
     }
 
@@ -226,12 +226,6 @@ impl EnginePool {
         self.lanes
     }
 
-    /// The per-slice worker fan-out every engine of this pool was built with.
-    #[must_use]
-    pub fn engine_exec(&self) -> ExecStrategy {
-        self.engine_exec
-    }
-
     /// Engines currently idle (not checked out).
     #[must_use]
     pub fn idle_lanes(&self) -> usize {
@@ -256,12 +250,6 @@ impl EnginePool {
         }
     }
 
-    /// Checks an engine out if one is free right now.
-    #[must_use]
-    pub fn try_checkout(&self) -> Option<PooledEngine> {
-        self.idle.lock().expect("engine pool poisoned").pop()
-    }
-
     /// Returns an engine to the pool and wakes one waiter.
     pub fn checkin(&self, engine: PooledEngine) {
         debug_assert!(
@@ -276,15 +264,14 @@ impl EnginePool {
 /// Completion record of one scheduled request.
 #[derive(Debug)]
 pub struct RequestRecord {
-    /// Monotonic request id, assigned at [`Scheduler::submit`] time (ids
+    /// Monotonic request id, assigned when the request is enqueued (ids
     /// order submissions, so sorting by id recovers input order).
     pub id: u64,
     /// The inference outcome.
     pub result: Result<InferenceResult, SneError>,
     /// Pool lane that served the request.
     pub lane: usize,
-    /// Host time from submission until service started (queue + engine
-    /// checkout wait), in µs.
+    /// Host time from submission until service started, in µs.
     pub queue_us: f64,
     /// Host time the engine spent on the request, in µs.
     pub service_us: f64,
@@ -311,17 +298,15 @@ pub struct PushRecord {
     pub service_us: f64,
 }
 
-/// Cumulative counters of a [`Scheduler`] (or any other request recorder):
-/// totals plus latency order statistics over a bounded window of recent
-/// requests.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Cumulative counters of a [`Scheduler`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerStats {
     /// Requests completed (success or error).
     pub completed: u64,
     /// Requests that completed with an error.
     pub errors: u64,
     /// Requests a worker took from another worker's queue instead of its
-    /// own (0 outside a [`Scheduler`]).
+    /// own.
     pub steals: u64,
     /// Requests submitted with an affinity hint and served by the hinted
     /// lane.
@@ -329,87 +314,7 @@ pub struct SchedulerStats {
     /// Requests submitted with an affinity hint and served elsewhere
     /// (stolen or rerouted — results are identical either way).
     pub affinity_misses: u64,
-    /// Queue-wait latency summary over the recent-request window.
-    pub queue: LatencySummary,
-    /// Service latency summary over the recent-request window.
-    pub service: LatencySummary,
 }
-
-/// Bounded reservoir of recent latency samples plus total counters — shared
-/// by the scheduler and reusable by any front-end (e.g. `sne_serve`) that
-/// wants `/v1/stats`-style percentiles without unbounded memory.
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    inner: Mutex<RecorderInner>,
-}
-
-#[derive(Debug, Default)]
-struct RecorderInner {
-    completed: u64,
-    errors: u64,
-    queue_us: VecDeque<f64>,
-    service_us: VecDeque<f64>,
-}
-
-/// Samples kept per latency series (oldest evicted first).
-const RECORDER_WINDOW: usize = 4096;
-
-impl LatencyRecorder {
-    /// A recorder with empty counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed request.
-    pub fn record(&self, queue_us: f64, service_us: f64, is_error: bool) {
-        let mut guard = self.inner.lock().expect("latency recorder poisoned");
-        let inner = &mut *guard;
-        inner.completed += 1;
-        inner.errors += u64::from(is_error);
-        for (series, sample) in [
-            (&mut inner.queue_us, queue_us),
-            (&mut inner.service_us, service_us),
-        ] {
-            if series.len() == RECORDER_WINDOW {
-                series.pop_front();
-            }
-            series.push_back(sample);
-        }
-    }
-
-    /// Snapshot of the counters and latency summaries.
-    #[must_use]
-    pub fn stats(&self) -> SchedulerStats {
-        let inner = self.inner.lock().expect("latency recorder poisoned");
-        let queue: Vec<f64> = inner.queue_us.iter().copied().collect();
-        let service: Vec<f64> = inner.service_us.iter().copied().collect();
-        SchedulerStats {
-            completed: inner.completed,
-            errors: inner.errors,
-            queue: LatencySummary::from_samples_us(&queue),
-            service: LatencySummary::from_samples_us(&service),
-            steals: 0,
-            affinity_hits: 0,
-            affinity_misses: 0,
-        }
-    }
-}
-
-/// Priority class of a queued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Priority {
-    /// Latency-sensitive round trips ([`Scheduler::call`],
-    /// [`Scheduler::call_push`]): served ahead of bulk work.
-    Interactive,
-    /// Throughput work ([`Scheduler::submit`] batches).
-    Bulk,
-}
-
-/// Interactive jobs a worker may serve ahead of a waiting bulk job before
-/// the bulk lane is force-served once — the starvation guard that keeps
-/// batch work progressing under a sustained interactive flood.
-const BULK_BYPASS_LIMIT: u32 = 4;
 
 /// How long an idle worker waits before it may steal: one scheduling
 /// quantum's grace for the victim to serve its own queue. Keeps steal
@@ -417,6 +322,11 @@ const BULK_BYPASS_LIMIT: u32 = 4;
 /// first-scheduled worker of a time-sliced single-core host from draining
 /// every peer's queue.
 const STEAL_GRACE: Duration = Duration::from_millis(2);
+
+/// Where a completion record goes: run on the worker thread right after
+/// the request is served. It must be quick and must never block on the
+/// scheduler itself — it runs ahead of the worker's next job.
+type Reply<R> = Box<dyn FnOnce(R) + Send>;
 
 /// One queued request. Streams are behind an `Arc` so callers that already
 /// hold shared streams submit without copying event data.
@@ -431,55 +341,18 @@ struct Job {
     kind: JobKind,
 }
 
-/// How a completed inference's [`RequestRecord`] travels back to its
-/// submitter: over a channel (the synchronous [`Scheduler::submit`] /
-/// [`Scheduler::call`] paths block on the receiver) or into a callback run
-/// on the worker thread right after completion (the nonblocking
-/// [`Scheduler::call_async`] path an event-driven server uses). A callback
-/// must be quick and must never block on the scheduler itself — it runs
-/// inline in the worker loop, ahead of the worker's next job.
-enum InferReply {
-    Channel(mpsc::Sender<RequestRecord>),
-    Callback(Box<dyn FnOnce(RequestRecord) + Send>),
-}
-
-impl InferReply {
-    fn complete(self, record: RequestRecord) {
-        match self {
-            // A dropped receiver (caller gave up) is not an error.
-            Self::Channel(tx) => drop(tx.send(record)),
-            Self::Callback(f) => f(record),
-        }
-    }
-}
-
-/// [`InferReply`], for streaming pushes.
-enum PushReply {
-    Channel(mpsc::Sender<PushRecord>),
-    Callback(Box<dyn FnOnce(PushRecord) + Send>),
-}
-
-impl PushReply {
-    fn complete(self, record: PushRecord) {
-        match self {
-            Self::Channel(tx) => drop(tx.send(record)),
-            Self::Callback(f) => f(record),
-        }
-    }
-}
-
 enum JobKind {
     /// Whole-sample inference on the serving engine's scratch client.
     Infer {
         stream: Arc<EventStream>,
-        reply: InferReply,
+        reply: Reply<RequestRecord>,
     },
     /// One chunk of an external client's feed; the [`ClientState`] travels
     /// with the job and comes back in the [`PushRecord`].
     Push {
         client: Box<ClientState>,
         chunk: Arc<EventStream>,
-        reply: PushReply,
+        reply: Reply<PushRecord>,
     },
 }
 
@@ -489,58 +362,11 @@ impl std::fmt::Debug for Job {
     }
 }
 
-/// One worker's local run queue: a deque per priority lane plus the bulk
-/// starvation-guard counter.
-#[derive(Debug, Default)]
-struct WorkerQueue {
-    interactive: VecDeque<Job>,
-    bulk: VecDeque<Job>,
-    /// Interactive jobs served while bulk work waited, since the last bulk
-    /// job was served.
-    bulk_bypassed: u32,
-}
-
-impl WorkerQueue {
-    fn len(&self) -> usize {
-        self.interactive.len() + self.bulk.len()
-    }
-
-    fn push(&mut self, job: Job, priority: Priority) {
-        match priority {
-            Priority::Interactive => self.interactive.push_back(job),
-            Priority::Bulk => self.bulk.push_back(job),
-        }
-    }
-
-    /// Takes the owner's next job: interactive first, except that after
-    /// [`BULK_BYPASS_LIMIT`] consecutive bypasses a waiting bulk job is
-    /// served unconditionally — bulk throughput degrades under interactive
-    /// load but never stops.
-    fn pop_local(&mut self) -> Option<Job> {
-        let bulk_due = !self.bulk.is_empty()
-            && (self.interactive.is_empty() || self.bulk_bypassed >= BULK_BYPASS_LIMIT);
-        if bulk_due {
-            self.bulk_bypassed = 0;
-            return self.bulk.pop_front();
-        }
-        let job = self.interactive.pop_front();
-        if job.is_some() && !self.bulk.is_empty() {
-            self.bulk_bypassed += 1;
-        }
-        job
-    }
-
-    /// Steals from the tail: the newest bulk job first (the oldest jobs keep
-    /// their FIFO position with their owner, and bulk work benefits most
-    /// from spare capacity), else the newest interactive one.
-    fn steal_tail(&mut self) -> Option<Job> {
-        self.bulk.pop_back().or_else(|| self.interactive.pop_back())
-    }
-}
-
 #[derive(Debug)]
 struct SchedState {
-    queues: Vec<WorkerQueue>,
+    /// One run queue per worker, in arrival order: the owner pops the
+    /// front (oldest), a thief pops the back (newest).
+    queues: Vec<VecDeque<Job>>,
     closed: bool,
     /// Rotating tiebreak for [`SchedState::least_loaded`]: among equally
     /// short queues, placement cycles through the workers instead of
@@ -567,25 +393,26 @@ impl SchedState {
         target
     }
 
-    /// Steals one job for worker `me` from the tail of the most-loaded
-    /// other queue. A victim's **last** job is off limits while the
-    /// scheduler is open: its owner was notified and will serve it, and
-    /// leaving it guarantees every worker gets a share of a saturating
-    /// batch even when the host serializes the worker threads (a one-core
-    /// box would otherwise let the first-scheduled worker drain the whole
-    /// fleet's queues and collapse the lane-utilization spread). Once
-    /// closed, stragglers are fair game so shutdown drains fast.
+    /// Steals the newest job for worker `me` from the most-loaded other
+    /// queue (the oldest jobs keep their place with their owner). A
+    /// victim's **last** job is off limits while the scheduler is open:
+    /// its owner was notified and will serve it, and leaving it guarantees
+    /// every worker gets a share of a saturating batch even when the host
+    /// serializes the worker threads (a one-core box would otherwise let
+    /// the first-scheduled worker drain the whole fleet's queues and
+    /// collapse the lane-utilization spread). Once closed, stragglers are
+    /// fair game so shutdown drains fast.
     fn steal_for(&mut self, me: usize) -> Option<Job> {
         let floor = if self.closed { 1 } else { 2 };
         let victim = (0..self.queues.len())
             .filter(|&i| i != me && self.queues[i].len() >= floor)
             .max_by_key(|&i| self.queues[i].len())?;
-        self.queues[victim].steal_tail()
+        self.queues[victim].pop_back()
     }
 
     /// Whether any queue holds work.
     fn has_work(&self) -> bool {
-        self.queues.iter().any(|q| q.len() > 0)
+        self.queues.iter().any(|q| !q.is_empty())
     }
 }
 
@@ -594,11 +421,9 @@ struct SchedShared {
     pool: Arc<EnginePool>,
     state: Mutex<SchedState>,
     ready: Condvar,
-    /// Shared with the replacement scheduler across a
-    /// [`BatchRunner::set_exec`] swap, so ids stay globally monotonic and
-    /// sorting by id always recovers submission order.
-    next_id: Arc<AtomicU64>,
-    recorder: LatencyRecorder,
+    next_id: AtomicU64,
+    completed: AtomicU64,
+    errors: AtomicU64,
     steals: AtomicU64,
     affinity_hits: AtomicU64,
     affinity_misses: AtomicU64,
@@ -606,14 +431,25 @@ struct SchedShared {
     worker_lanes: Vec<usize>,
 }
 
+impl SchedShared {
+    /// Counts one completion. Runs before the reply, so a caller holding
+    /// its record also sees it in [`Scheduler::stats`].
+    fn count_completion(&self, is_error: bool) {
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.errors
+            .fetch_add(u64::from(is_error), Ordering::Relaxed);
+    }
+}
+
 /// A work-stealing scheduler over an [`EnginePool`]: every worker owns one
-/// warm engine and a local two-lane run queue; requests arrive at any time
-/// from any thread ([`Scheduler::submit`] for bulk work, [`Scheduler::call`]
-/// / [`Scheduler::call_push`] for interactive round trips) and are placed on
-/// the affine or least-loaded worker. An idle worker steals from the tail of
-/// the most-loaded queue, so no single hot queue can strand the rest of the
-/// fleet — and because every request is engine-agnostic, a stolen request's
-/// result is bit-identical to an affine one's.
+/// warm engine and a local run queue; requests arrive at any time from any
+/// thread ([`Scheduler::submit`] for batches collected by
+/// [`Scheduler::drain`], [`Scheduler::call`] / [`Scheduler::call_push`] for
+/// round trips, their `_async` forms for event-driven callers) and are
+/// placed on the affine or least-loaded worker. An idle worker steals from
+/// the tail of the most-loaded queue, so no single hot queue can strand the
+/// rest of the fleet — and because every request is engine-agnostic, a
+/// stolen request's result is bit-identical to an affine one's.
 ///
 /// Shutting the scheduler down ([`Scheduler::shutdown`] or drop) is
 /// graceful: already-queued work is finished (local or stolen) before the
@@ -639,13 +475,6 @@ impl Scheduler {
     /// checked out elsewhere.
     #[must_use]
     pub fn new(pool: Arc<EnginePool>, workers: usize) -> Self {
-        Self::with_ids(pool, workers, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Like [`Scheduler::new`], but drawing request ids from a shared
-    /// counter — the mechanism that keeps ids monotonic across a
-    /// [`BatchRunner::set_exec`] scheduler swap.
-    fn with_ids(pool: Arc<EnginePool>, workers: usize, next_id: Arc<AtomicU64>) -> Self {
         let workers = workers.clamp(1, pool.lanes());
         let mut engines: Vec<PooledEngine> = (0..workers).map(|_| pool.checkout()).collect();
         // Deterministic worker→lane mapping (lowest lanes first), so tests
@@ -655,13 +484,14 @@ impl Scheduler {
         let shared = Arc::new(SchedShared {
             pool,
             state: Mutex::new(SchedState {
-                queues: (0..workers).map(|_| WorkerQueue::default()).collect(),
+                queues: (0..workers).map(|_| VecDeque::new()).collect(),
                 closed: false,
                 rr_cursor: 0,
             }),
             ready: Condvar::new(),
-            next_id,
-            recorder: LatencyRecorder::new(),
+            next_id: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             affinity_hits: AtomicU64::new(0),
             affinity_misses: AtomicU64::new(0),
@@ -721,22 +551,25 @@ impl Scheduler {
             .expect("scheduler poisoned")
             .queues
             .iter()
-            .map(WorkerQueue::len)
+            .map(VecDeque::len)
             .sum()
     }
 
-    /// Cumulative request counters, steal/affinity telemetry and latency
-    /// percentiles.
+    /// Cumulative request, steal and affinity counters.
     #[must_use]
     pub fn stats(&self) -> SchedulerStats {
-        let mut stats = self.shared.recorder.stats();
-        stats.steals = self.shared.steals.load(Ordering::Relaxed);
-        stats.affinity_hits = self.shared.affinity_hits.load(Ordering::Relaxed);
-        stats.affinity_misses = self.shared.affinity_misses.load(Ordering::Relaxed);
-        stats
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let shared = &*self.shared;
+        SchedulerStats {
+            completed: load(&shared.completed),
+            errors: load(&shared.errors),
+            steals: load(&shared.steals),
+            affinity_hits: load(&shared.affinity_hits),
+            affinity_misses: load(&shared.affinity_misses),
+        }
     }
 
-    fn enqueue(&self, priority: Priority, affinity: Option<usize>, kind: JobKind) -> u64 {
+    fn enqueue(&self, affinity: Option<usize>, kind: JobKind) -> u64 {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         {
             let mut state = self.shared.state.lock().expect("scheduler poisoned");
@@ -744,32 +577,23 @@ impl Scheduler {
             let target = affinity
                 .and_then(|lane| self.shared.worker_lanes.iter().position(|&l| l == lane))
                 .unwrap_or_else(|| state.least_loaded());
-            state.queues[target].push(
-                Job {
-                    id,
-                    enqueued: Instant::now(),
-                    affinity,
-                    kind,
-                },
-                priority,
-            );
+            state.queues[target].push_back(Job {
+                id,
+                enqueued: Instant::now(),
+                affinity,
+                kind,
+            });
         }
         self.shared.ready.notify_one();
         id
     }
 
-    /// Enqueues one bulk request; its completion is collected by
+    /// Enqueues one request whose completion is collected by
     /// [`Scheduler::drain`]. Returns the request id (ids order submissions).
     /// Accepts an owned stream or an `Arc` (no event copy for the latter).
     pub fn submit(&mut self, stream: impl Into<Arc<EventStream>>) -> u64 {
-        let id = self.enqueue(
-            Priority::Bulk,
-            None,
-            JobKind::Infer {
-                stream: stream.into(),
-                reply: InferReply::Channel(self.results_tx.clone()),
-            },
-        );
+        let tx = self.results_tx.clone();
+        let id = self.call_async(stream, None, move |record| drop(tx.send(record)));
         self.outstanding += 1;
         id
     }
@@ -777,7 +601,7 @@ impl Scheduler {
     /// Waits for every [`Scheduler::submit`]ted request to complete and
     /// returns the records sorted by request id (= submission order).
     pub fn drain(&mut self) -> Vec<RequestRecord> {
-        let results_rx = self.results_rx.lock().expect("scheduler poisoned");
+        let results_rx = self.results_rx.get_mut().expect("scheduler poisoned");
         let mut records = Vec::with_capacity(self.outstanding);
         for _ in 0..self.outstanding {
             records.push(results_rx.recv().expect("scheduler worker disconnected"));
@@ -787,10 +611,9 @@ impl Scheduler {
         records
     }
 
-    /// Synchronous interactive round trip: enqueues the request on the
-    /// priority lane (ahead of bulk [`Scheduler::submit`] work) and blocks
-    /// until its completion record arrives. Callable from any thread (this
-    /// is the entry point a server's connection handlers use).
+    /// Synchronous round trip: enqueues the request behind the work already
+    /// queued and blocks until its completion record arrives. Callable from
+    /// any thread.
     #[must_use]
     pub fn call(&self, stream: impl Into<Arc<EventStream>>) -> RequestRecord {
         self.call_with_affinity(stream, None)
@@ -808,24 +631,18 @@ impl Scheduler {
         affinity: Option<usize>,
     ) -> RequestRecord {
         let (tx, rx) = mpsc::channel();
-        let _ = self.enqueue(
-            Priority::Interactive,
-            affinity,
-            JobKind::Infer {
-                stream: stream.into(),
-                reply: InferReply::Channel(tx),
-            },
-        );
+        // A dropped receiver (caller gave up) is not an error.
+        self.call_async(stream, affinity, move |record| drop(tx.send(record)));
         rx.recv().expect("scheduler worker disconnected")
     }
 
     /// Nonblocking [`Scheduler::call_with_affinity`]: enqueues the request
-    /// on the interactive lane and returns immediately; `on_done` runs on
-    /// the serving worker thread right after completion. This is the entry
-    /// point for event-driven callers (a nonblocking reactor cannot park a
-    /// thread per request). The callback must be quick and must not block
-    /// on the scheduler — it runs ahead of the worker's next job. Returns
-    /// the request id.
+    /// and returns immediately; `on_done` runs on the serving worker thread
+    /// right after completion. This is the entry point for event-driven
+    /// callers such as `sne_serve`'s reactor, which cannot park a thread
+    /// per request. The callback must be quick and must not block on the
+    /// scheduler — it runs ahead of the worker's next job. Returns the
+    /// request id.
     pub fn call_async(
         &self,
         stream: impl Into<Arc<EventStream>>,
@@ -833,21 +650,19 @@ impl Scheduler {
         on_done: impl FnOnce(RequestRecord) + Send + 'static,
     ) -> u64 {
         self.enqueue(
-            Priority::Interactive,
             affinity,
             JobKind::Infer {
                 stream: stream.into(),
-                reply: InferReply::Callback(Box::new(on_done)),
+                reply: Box::new(on_done),
             },
         )
     }
 
-    /// Synchronous interactive streaming round trip: sends `client` and one
-    /// chunk of its feed through the fleet and blocks until the
-    /// [`PushRecord`] (carrying the advanced `client`) comes back. Pass the
-    /// previous record's `lane` as `affinity` to keep a session on a warm
-    /// engine; state is engine-agnostic, so an affinity miss is
-    /// bit-identical.
+    /// Synchronous streaming round trip: sends `client` and one chunk of its
+    /// feed through the fleet and blocks until the [`PushRecord`] (carrying
+    /// the advanced `client`) comes back. Pass the previous record's `lane`
+    /// as `affinity` to keep a session on a warm engine; state is
+    /// engine-agnostic, so an affinity miss is bit-identical.
     #[must_use]
     pub fn call_push(
         &self,
@@ -856,15 +671,7 @@ impl Scheduler {
         affinity: Option<usize>,
     ) -> PushRecord {
         let (tx, rx) = mpsc::channel();
-        let _ = self.enqueue(
-            Priority::Interactive,
-            affinity,
-            JobKind::Push {
-                client: Box::new(client),
-                chunk: chunk.into(),
-                reply: PushReply::Channel(tx),
-            },
-        );
+        self.call_push_async(client, chunk, affinity, move |record| drop(tx.send(record)));
         rx.recv().expect("scheduler worker disconnected")
     }
 
@@ -880,12 +687,11 @@ impl Scheduler {
         on_done: impl FnOnce(PushRecord) + Send + 'static,
     ) -> u64 {
         self.enqueue(
-            Priority::Interactive,
             affinity,
             JobKind::Push {
                 client: Box::new(client),
                 chunk: chunk.into(),
-                reply: PushReply::Callback(Box::new(on_done)),
+                reply: Box::new(on_done),
             },
         )
     }
@@ -916,10 +722,10 @@ impl Drop for Scheduler {
     }
 }
 
-/// One worker of the fleet: serve the local queue (interactive ahead of
-/// bulk, bounded bypass), steal from the most-loaded peer when idle, exit —
-/// returning the owned engine — only once the scheduler is closed and every
-/// queue is empty (graceful drain-first shutdown).
+/// One worker of the fleet: serve the local queue oldest first, steal the
+/// newest job of the most-loaded peer when idle, exit — returning the owned
+/// engine — only once the scheduler is closed and every queue is empty
+/// (graceful drain-first shutdown).
 fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
     loop {
         let mut stolen = false;
@@ -933,7 +739,7 @@ fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
             // the backlog drains at full speed.
             let mut grace_expired = false;
             loop {
-                if let Some(job) = state.queues[index].pop_local() {
+                if let Some(job) = state.queues[index].pop_front() {
                     break Some(job);
                 }
                 if grace_expired || state.closed {
@@ -974,8 +780,8 @@ fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
 }
 
 /// Serves one job on the worker's owned engine: affinity accounting, queue
-/// and service timing, inference or push, and the reply (channel send or
-/// inline callback).
+/// and service timing, inference or push, the completion counters, and the
+/// reply.
 fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
     let lane = engine.lane();
     if let Some(hint) = job.affinity {
@@ -992,10 +798,8 @@ fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
         JobKind::Infer { stream, reply } => {
             let result = engine.infer(&stream);
             let service_us = service_start.elapsed().as_secs_f64() * 1e6;
-            shared
-                .recorder
-                .record(queue_us, service_us, result.is_err());
-            reply.complete(RequestRecord {
+            shared.count_completion(result.is_err());
+            reply(RequestRecord {
                 id: job.id,
                 result,
                 lane,
@@ -1010,10 +814,8 @@ fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
         } => {
             let result = engine.push(&mut client, &chunk);
             let service_us = service_start.elapsed().as_secs_f64() * 1e6;
-            shared
-                .recorder
-                .record(queue_us, service_us, result.is_err());
-            reply.complete(PushRecord {
+            shared.count_completion(result.is_err());
+            reply(PushRecord {
                 id: job.id,
                 client: *client,
                 result,
@@ -1107,17 +909,6 @@ pub struct BatchReport {
 pub struct BatchRunner {
     pool: Arc<EnginePool>,
     scheduler: Scheduler,
-    exec: ExecStrategy,
-    /// Request-id source shared across every scheduler this runner builds,
-    /// so ids stay monotonic (and drain order stays submission order)
-    /// across [`BatchRunner::set_exec`] swaps.
-    ids: Arc<AtomicU64>,
-    /// Completion records rescued from a scheduler that was replaced by
-    /// [`BatchRunner::set_exec`] while submissions were outstanding;
-    /// returned (in order) by the next [`BatchRunner::drain`]. Each record
-    /// keeps the lane of the engine that actually served it, so utilization
-    /// telemetry stays truthful across the swap.
-    carryover: Vec<RequestRecord>,
 }
 
 impl BatchRunner {
@@ -1158,19 +949,8 @@ impl BatchRunner {
             lanes,
             ExecStrategy::Sequential,
         )?);
-        let ids = Arc::new(AtomicU64::new(0));
-        let scheduler = Scheduler::with_ids(
-            Arc::clone(&pool),
-            exec.pool_workers(lanes),
-            Arc::clone(&ids),
-        );
-        Ok(Self {
-            pool,
-            scheduler,
-            exec,
-            ids,
-            carryover: Vec::new(),
-        })
+        let scheduler = Scheduler::new(Arc::clone(&pool), exec.pool_workers(lanes));
+        Ok(Self { pool, scheduler })
     }
 
     /// Number of pooled engines.
@@ -1192,36 +972,6 @@ impl BatchRunner {
         &self.scheduler
     }
 
-    /// The execution strategy driving the fleet.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.exec
-    }
-
-    /// Changes the execution strategy: the scheduler is rebuilt with the new
-    /// worker count. Submissions still outstanding on the old scheduler are
-    /// waited for and their completion records carried over to the next
-    /// [`BatchRunner::drain`] — no result is ever lost. Never changes
-    /// results.
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.exec = exec;
-        let workers = exec.pool_workers(self.pool.lanes());
-        if workers != self.scheduler.workers() {
-            if self.scheduler.outstanding() > 0 {
-                // Rescued records keep the lane of the engine that served
-                // them (never remapped to the new scheduler's workers), so
-                // utilization attribution stays truthful across the swap.
-                self.carryover.extend(self.scheduler.drain());
-            }
-            // Shut the old scheduler down FIRST: its workers own their
-            // engines, and the replacement blocks checking its own out
-            // until they are returned.
-            self.scheduler.shutdown();
-            self.scheduler =
-                Scheduler::with_ids(Arc::clone(&self.pool), workers, Arc::clone(&self.ids));
-        }
-    }
-
     /// Submits one stream to the dynamic scheduler without waiting; collect
     /// with [`BatchRunner::drain`]. Returns the request id. Accepts an owned
     /// stream or an `Arc` (no event copy for the latter).
@@ -1230,14 +980,9 @@ impl BatchRunner {
     }
 
     /// Waits for all submitted requests and returns their completion records
-    /// in submission order. Ids are drawn from one shared counter across
-    /// [`BatchRunner::set_exec`] swaps, so sorting rescued and fresh records
-    /// together by id is exactly submission order.
+    /// in submission order.
     pub fn drain(&mut self) -> Vec<RequestRecord> {
-        let mut records = std::mem::take(&mut self.carryover);
-        records.extend(self.scheduler.drain());
-        records.sort_by_key(|r| r.id);
-        records
+        self.scheduler.drain()
     }
 
     /// Runs every stream through the dynamic scheduler (submit-all, then
@@ -1254,7 +999,7 @@ impl BatchRunner {
     /// (the same error the round-robin runner reports).
     pub fn run(&mut self, streams: &[EventStream]) -> Result<BatchReport, SneError> {
         assert!(
-            self.carryover.is_empty() && self.scheduler.outstanding() == 0,
+            self.scheduler.outstanding() == 0,
             "drain() incremental submissions before a closed-batch run()"
         );
         let before = self.scheduler.stats();
@@ -1269,23 +1014,14 @@ impl BatchRunner {
         let mut queue_samples = Vec::with_capacity(records.len());
         let mut service_samples = Vec::with_capacity(records.len());
         let mut lane_busy_us = vec![0.0f64; self.pool.lanes()];
-        let mut first_error: Option<(u64, SneError)> = None;
         let mut results = Vec::with_capacity(records.len());
+        // Records are in submission order, so the first error is the
+        // lowest-numbered failing stream's.
         for record in records {
             queue_samples.push(record.queue_us);
             service_samples.push(record.service_us);
             lane_busy_us[record.lane] += record.service_us;
-            match record.result {
-                Ok(result) => results.push(result),
-                Err(error) => {
-                    if first_error.as_ref().map_or(true, |(id, _)| record.id < *id) {
-                        first_error = Some((record.id, error));
-                    }
-                }
-            }
-        }
-        if let Some((_, error)) = first_error {
-            return Err(error);
+            results.push(record.result?);
         }
         Ok(assemble_report(
             results,
@@ -1303,11 +1039,10 @@ impl BatchRunner {
         ))
     }
 
-    /// The legacy statically pinned runner, kept as the reference oracle the
-    /// dynamic scheduler is proven against: stream `i` runs on lane
-    /// `i % lanes`, each lane consuming its share in input order (on worker
-    /// threads under a parallel [`ExecStrategy`], exactly the pre-scheduler
-    /// behavior). Queue-wait latency is zero by construction.
+    /// The statically pinned runner, kept as the sequential reference
+    /// oracle the dynamic scheduler is proven against: stream `i` runs on
+    /// lane `i % lanes`, in input order, on the calling thread. Queue-wait
+    /// latency is zero by construction.
     ///
     /// The oracle fleet is built fresh from the shared artifact rather than
     /// checked out of the pool — the scheduler's workers own the pool's
@@ -1317,93 +1052,29 @@ impl BatchRunner {
     ///
     /// # Errors
     ///
-    /// Propagates the inference error of the lowest-numbered failing stream.
+    /// Returns the inference error of the lowest-numbered failing stream.
     pub fn run_round_robin(&mut self, streams: &[EventStream]) -> Result<BatchReport, SneError> {
         let wall_start = Instant::now();
         let lanes = self.pool.lanes();
-        let artifact = self.pool.artifact();
         let mut engines: Vec<PooledEngine> = (0..lanes)
-            .map(|lane| PooledEngine {
-                lane,
-                artifact: Arc::clone(artifact),
-                engine: artifact.new_engine(self.pool.engine_exec()),
-                scratch: artifact.new_client(),
-            })
+            .map(|lane| PooledEngine::new(lane, self.pool.artifact(), ExecStrategy::Sequential))
             .collect();
-
-        // The lane that served a walk slot, plus per-stream results (with
-        // service time) — or the first `(stream index, error)` the slot
-        // hit. Slot `i` owns lane `i` by construction, but the lane id is
-        // still carried explicitly for utilization attribution.
-        type LaneOutcome = (
-            usize,
-            Result<Vec<(usize, InferenceResult, f64)>, (usize, SneError)>,
-        );
-        // Lowest failing stream index observed so far, for deterministic
-        // fail-fast: a failure at index `m` makes every result with a higher
-        // index moot (the batch returns the minimum-index error), so lanes
-        // stop once their next stream is beyond it. Streams below `m` always
-        // run, so an even earlier failure is never missed — the reported
-        // error is identical for every strategy and thread interleaving.
-        let min_failed = AtomicUsize::new(usize::MAX);
-        let lane_outcomes: Vec<LaneOutcome> = self.exec.map(&mut engines, |slot, engine| {
-            let mut outcomes = Vec::new();
-            for (i, stream) in streams.iter().enumerate().skip(slot).step_by(lanes) {
-                if i > min_failed.load(Ordering::SeqCst) {
-                    // Indices only grow within a lane; nothing left to do.
-                    break;
-                }
-                let service_start = Instant::now();
-                match engine.infer(stream) {
-                    Ok(result) => {
-                        outcomes.push((i, result, service_start.elapsed().as_secs_f64() * 1e6));
-                    }
-                    Err(error) => {
-                        min_failed.fetch_min(i, Ordering::SeqCst);
-                        return (engine.lane(), Err((i, error)));
-                    }
-                }
-            }
-            (engine.lane(), Ok(outcomes))
-        });
-        drop(engines);
-        let wall_us = wall_start.elapsed().as_secs_f64() * 1e6;
-
-        // Deterministic reduction: first failing stream index wins; otherwise
-        // scatter the per-lane results back into input order.
-        let mut first_error: Option<(usize, SneError)> = None;
-        let mut slots: Vec<Option<InferenceResult>> = (0..streams.len()).map(|_| None).collect();
+        let mut results = Vec::with_capacity(streams.len());
         let mut service_samples = Vec::with_capacity(streams.len());
         let mut lane_busy_us = vec![0.0f64; lanes];
-        for (lane, outcome) in lane_outcomes {
-            match outcome {
-                Ok(outcomes) => {
-                    for (i, result, service_us) in outcomes {
-                        slots[i] = Some(result);
-                        service_samples.push(service_us);
-                        lane_busy_us[lane] += service_us;
-                    }
-                }
-                Err((i, error)) => {
-                    if first_error.as_ref().map_or(true, |(j, _)| i < *j) {
-                        first_error = Some((i, error));
-                    }
-                }
-            }
+        for (i, stream) in streams.iter().enumerate() {
+            let service_start = Instant::now();
+            results.push(engines[i % lanes].infer(stream)?);
+            let service_us = service_start.elapsed().as_secs_f64() * 1e6;
+            service_samples.push(service_us);
+            lane_busy_us[i % lanes] += service_us;
         }
-        if let Some((_, error)) = first_error {
-            return Err(error);
-        }
-        let results: Vec<InferenceResult> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every stream produced a result"))
-            .collect();
-        let queue_samples = vec![0.0f64; results.len()];
+        let wall_us = wall_start.elapsed().as_secs_f64() * 1e6;
         Ok(assemble_report(
             results,
             lanes,
-            self.exec.threads(),
-            &queue_samples,
+            1,
+            &vec![0.0f64; streams.len()],
             &service_samples,
             &lane_busy_us,
             wall_us,
@@ -1560,7 +1231,6 @@ mod tests {
         let b = pool.checkout();
         let c = pool.checkout();
         assert_eq!(pool.idle_lanes(), 0);
-        assert!(pool.try_checkout().is_none());
         let mut lanes = [a.lane(), b.lane(), c.lane()];
         lanes.sort_unstable();
         assert_eq!(lanes, [0, 1, 2]);
@@ -1641,8 +1311,6 @@ mod tests {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, 7);
         assert_eq!(stats.errors, 0);
-        assert_eq!(stats.service.count, 7);
-        assert!(stats.service.p99_us >= stats.service.p50_us);
         // `call` is the synchronous round trip request threads use.
         let record = scheduler.call(streams[0].clone());
         assert!(record.result.is_ok());
@@ -1776,41 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_strategy_is_switchable_between_batches() {
-        let mut runner = BatchRunner::new(compiled(), SneConfig::with_slices(2), 2).unwrap();
-        let streams = streams(5);
-        let before = runner.run(&streams).unwrap();
-        runner.set_exec(ExecStrategy::threaded(4));
-        assert!(runner.exec().is_parallel());
-        let after = runner.run(&streams).unwrap();
-        assert_eq!(before.results, after.results);
-        // 4 requested, clamped to the 2 pool lanes.
-        assert_eq!(after.threads, 2);
-    }
-
-    #[test]
-    fn set_exec_never_loses_outstanding_results() {
-        let network = Arc::new(compiled());
-        let mut runner =
-            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), 2).unwrap();
-        let streams = streams(3);
-        let expected = runner.run(&streams).unwrap();
-        for stream in &streams {
-            let _ = runner.submit(stream.clone());
-        }
-        // Swapping the scheduler mid-flight must rescue the outstanding
-        // completions instead of dropping them with the old scheduler.
-        runner.set_exec(ExecStrategy::threaded(2));
-        let records = runner.drain();
-        assert_eq!(records.len(), 3);
-        for (record, expected) in records.iter().zip(&expected.results) {
-            assert_eq!(record.result.as_ref().unwrap(), expected);
-        }
-        // And the runner is fully usable afterwards.
-        assert_eq!(runner.run(&streams).unwrap().results, expected.results);
-    }
-
-    #[test]
     fn threaded_error_reporting_matches_the_sequential_choice() {
         let network = compiled();
         let mut streams = streams(6);
@@ -1853,86 +1486,71 @@ mod tests {
     }
 
     fn dummy_job(id: u64) -> Job {
-        let (reply, _rx) = mpsc::channel();
         Job {
             id,
             enqueued: Instant::now(),
             affinity: None,
             kind: JobKind::Infer {
                 stream: Arc::new(EventStream::new(8, 8, 2, 8)),
-                reply: InferReply::Channel(reply),
+                reply: Box::new(drop),
             },
         }
     }
 
     #[test]
-    fn bulk_bypass_guard_prevents_starvation() {
-        let mut queue = WorkerQueue::default();
-        for id in 0..10 {
-            queue.push(dummy_job(id), Priority::Interactive);
+    fn one_queue_serves_arrival_order_and_a_thief_takes_the_newest_job() {
+        // One worker, parked inside the first job's reply until released, so
+        // everything below queues behind it in a known order.
+        let pool = Arc::new(
+            EnginePool::for_network(
+                compiled(),
+                SneConfig::with_slices(2),
+                1,
+                ExecStrategy::Sequential,
+            )
+            .unwrap(),
+        );
+        let mut scheduler = Scheduler::new(pool, 1);
+        let stream = Arc::new(streams(1).remove(0));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        scheduler.call_async(Arc::clone(&stream), None, move |_| {
+            entered_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        entered_rx.recv().unwrap();
+        // Submitted and called jobs share one queue: a called job's reply
+        // sees the completion count including itself, so it tells how many
+        // jobs were served up to and including it.
+        let (seen_tx, seen_rx) = mpsc::channel();
+        for _ in 0..2 {
+            let _ = scheduler.submit(Arc::clone(&stream));
+            let shared = Arc::clone(&scheduler.shared);
+            let seen_tx = seen_tx.clone();
+            scheduler.call_async(Arc::clone(&stream), None, move |record| {
+                let completed = shared.completed.load(Ordering::Relaxed);
+                seen_tx.send((record.id, completed)).unwrap();
+            });
         }
-        queue.push(dummy_job(100), Priority::Bulk);
-        queue.push(dummy_job(101), Priority::Bulk);
-        let order: Vec<u64> = std::iter::from_fn(|| queue.pop_local())
+        release_tx.send(()).unwrap();
+        let submitted: Vec<u64> = scheduler.drain().iter().map(|r| r.id).collect();
+        assert_eq!(submitted, vec![1, 3]);
+        // Calls 2 and 4 were served third and fifth: each right behind the
+        // job submitted before it, none ahead of it.
+        let called: Vec<(u64, u64)> = seen_rx.iter().take(2).collect();
+        assert_eq!(called, vec![(2, 3), (4, 5)]);
+
+        // A thief takes the victim's newest job and, while the scheduler is
+        // open, leaves the last one to its owner.
+        let mut state = SchedState {
+            queues: vec![(0..4).map(dummy_job).collect(), VecDeque::new()],
+            closed: false,
+            rr_cursor: 0,
+        };
+        let stolen: Vec<u64> = std::iter::from_fn(|| state.steal_for(1))
             .map(|job| job.id)
             .collect();
-        // Interactive goes first, but after BULK_BYPASS_LIMIT bypasses a
-        // waiting bulk job is force-served — bulk never starves.
-        assert_eq!(order, vec![0, 1, 2, 3, 100, 4, 5, 6, 7, 101, 8, 9]);
-    }
-
-    #[test]
-    fn steal_takes_the_newest_bulk_job_first() {
-        let mut queue = WorkerQueue::default();
-        queue.push(dummy_job(0), Priority::Interactive);
-        queue.push(dummy_job(1), Priority::Interactive);
-        queue.push(dummy_job(10), Priority::Bulk);
-        queue.push(dummy_job(11), Priority::Bulk);
-        // Newest bulk first (owner keeps its FIFO head), then newest
-        // interactive once bulk is exhausted.
-        let stolen: Vec<u64> = std::iter::from_fn(|| queue.steal_tail())
-            .map(|job| job.id)
-            .collect();
-        assert_eq!(stolen, vec![11, 10, 1, 0]);
-    }
-
-    #[test]
-    fn set_exec_carryover_keeps_lane_attribution() {
-        let network = Arc::new(compiled());
-        // 3-lane pool, sequential exec: one worker owning one engine. The
-        // owned lane is whatever the pool handed out — capture it.
-        let mut runner = BatchRunner::with_exec(
-            Arc::clone(&network),
-            SneConfig::with_slices(2),
-            3,
-            ExecStrategy::Sequential,
-        )
-        .unwrap();
-        let owned_lane = runner.scheduler().worker_lanes()[0];
-        let streams = streams(4);
-        for stream in &streams {
-            let _ = runner.submit(stream.clone());
-        }
-        // The swap rescues the outstanding completions. Regression: rescued
-        // records must keep the lane of the engine that actually served them
-        // (the old scheduler's owned lane), not be remapped to the new
-        // scheduler's worker indices.
-        runner.set_exec(ExecStrategy::threaded(3));
-        let records = runner.drain();
-        assert_eq!(records.len(), 4);
-        let mut session =
-            InferenceSession::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap();
-        for (record, stream) in records.iter().zip(&streams) {
-            assert_eq!(record.lane, owned_lane, "carried record lost its lane");
-            assert_eq!(
-                record.result.as_ref().unwrap(),
-                &session.infer(stream).unwrap()
-            );
-        }
-        // Ids recover submission order across the swap.
-        let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
+        assert_eq!(stolen, vec![3, 2, 1]);
+        assert_eq!(state.queues[0].pop_front().map(|job| job.id), Some(0));
     }
 }

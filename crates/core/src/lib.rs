@@ -30,19 +30,19 @@
 //! configuration) that any number of engines execute against; a cheap
 //! per-client [`artifact::ClientState`] (per-layer neuron state + streaming
 //! cursor) that parks between requests; and the fleet machinery in
-//! [`batch`] — an [`batch::EnginePool`] of warm engines checked out per
-//! request and a work-queue [`batch::Scheduler`] with per-request
-//! queue/service latency accounting. [`batch::BatchRunner`] is the
-//! closed-batch convenience on top (its legacy statically pinned walk
+//! [`batch`] — an [`batch::EnginePool`] of warm engines, each owned by one
+//! worker of a work-stealing [`batch::Scheduler`] that records every
+//! request's queue-wait and service latency. [`batch::BatchRunner`] is the
+//! closed-batch convenience on top (its statically pinned sequential walk
 //! survives as [`batch::BatchRunner::run_round_robin`], the oracle the
 //! dynamic scheduler is proven bit-identical against), and the `sne_serve`
 //! crate is the HTTP front-end over the same tiers.
 //!
-//! Every entry point accepts an [`ExecStrategy`] (`with_exec` constructors):
-//! `Threaded(n)` fans the simulator's independent units — per-slice workers
-//! inside an engine, layer stages of a [`session::PipelinedSession`], lanes
-//! of a [`batch::BatchRunner`] — out over host worker threads, with results
-//! bit-identical to `Sequential` for every `n`.
+//! Every entry point accepts an [`ExecStrategy`] at construction (`with_exec`
+//! constructors): `Threaded(n)` fans the simulator's independent units —
+//! per-slice workers inside an engine, lanes of a [`batch::BatchRunner`] —
+//! out over host worker threads, with results bit-identical to `Sequential`
+//! for every `n`.
 //!
 //! # Example
 //!
@@ -94,7 +94,7 @@ pub use batch::{
 pub use compile::{CompiledNetwork, Stage};
 pub use error::SneError;
 pub use run::{InferenceResult, LayerExecution};
-pub use session::{ChunkOutput, InferenceSession, PipelinedSession};
+pub use session::{ChunkOutput, InferenceSession};
 // The execution strategy is part of the top-level API surface: every entry
 // point (`SneAccelerator`, the sessions, `BatchRunner`) takes it via a
 // `with_exec` constructor.

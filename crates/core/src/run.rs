@@ -1,8 +1,8 @@
 //! Results of running an inference on the accelerator.
 
 use serde::{Deserialize, Serialize};
-use sne_energy::EnergyReport;
-use sne_sim::CycleStats;
+use sne_energy::{EnergyModel, EnergyReport, PerformanceModel};
+use sne_sim::{CycleStats, SneConfig};
 
 /// Execution record of one accelerated layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,6 +42,36 @@ pub struct InferenceResult {
 }
 
 impl InferenceResult {
+    /// Attaches the energy and performance models to a finished run's cycle
+    /// statistics on an engine with configuration `config` — the single
+    /// formula every entry point uses to build a result. The predicted class
+    /// has the most output spikes (lowest class index on ties, matching the
+    /// accelerator's priority encoder).
+    pub(crate) fn from_run(
+        config: &SneConfig,
+        stats: CycleStats,
+        output_spike_counts: Vec<u32>,
+        layers: Vec<LayerExecution>,
+        mean_activity: f64,
+    ) -> Self {
+        let predicted_class = output_spike_counts
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
+            .map_or(0, |(i, _)| i);
+        let performance = PerformanceModel::new();
+        Self {
+            predicted_class,
+            output_spike_counts,
+            energy: EnergyModel::new().report(config, &stats),
+            inference_time_ms: performance.inference_time_ms(config, &stats),
+            inference_rate: performance.inference_rate(config, &stats),
+            stats,
+            layers,
+            mean_activity,
+        }
+    }
+
     /// Total number of input events consumed by the first layer.
     #[must_use]
     pub fn input_events(&self) -> u64 {

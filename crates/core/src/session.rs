@@ -12,10 +12,6 @@
 //!   continuous DVS feed can be consumed chunk by chunk
 //!   ([`InferenceSession::push`]) with membrane state surviving between
 //!   chunks. [`InferenceSession::reset`] returns the neuron state to rest.
-//! * [`PipelinedSession`] is the same runtime for the pipelined
-//!   layer-per-slice mapping mode: one persistent engine per layer, with the
-//!   inference makespan computed from the real overlapped per-timestep
-//!   schedule instead of an analytic approximation.
 //!
 //! # Example
 //!
@@ -74,22 +70,16 @@ pub(crate) fn check_geometry(
     Ok(())
 }
 
-/// Counts output spikes per class and picks the winner (lowest class index on
-/// ties, matching the accelerator's priority encoder).
-pub(crate) fn classify(stream: &EventStream, classes: usize) -> (usize, Vec<u32>) {
+/// Counts output spikes per class: the final stream's neurons are the
+/// classes.
+pub(crate) fn class_counts(stream: &EventStream, classes: usize) -> Vec<u32> {
     let mut counts = vec![0u32; classes];
     for event in stream.iter().filter(|e| e.is_spike()) {
         if usize::from(event.ch) < classes {
             counts[usize::from(event.ch)] += 1;
         }
     }
-    let predicted = counts
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    (predicted, counts)
+    counts
 }
 
 /// What running every stage over one stream (whole sample or chunk) produced.
@@ -105,16 +95,19 @@ pub(crate) struct StageOutcome {
 }
 
 impl StageOutcome {
-    /// Mean output activity across the accelerated layers.
-    pub fn mean_activity(&self) -> f64 {
-        self.layers.iter().map(|l| l.output_activity).sum::<f64>() / self.layers.len().max(1) as f64
+    /// The whole-sample [`InferenceResult`] of this run on an engine with
+    /// configuration `config`, for a network with `classes` output classes.
+    pub fn into_result(self, config: &SneConfig, classes: usize) -> InferenceResult {
+        let counts = class_counts(&self.stream, classes);
+        let mean_activity = self.layers.iter().map(|l| l.output_activity).sum::<f64>()
+            / self.layers.len().max(1) as f64;
+        InferenceResult::from_run(config, self.total, counts, self.layers, mean_activity)
     }
 }
 
-/// Builds the per-layer execution record from one engine run — the single
-/// formula both the sequential and the threaded stage walks use, so their
-/// bookkeeping cannot drift apart. `timesteps` is the timestep count of the
-/// layer's *input* stream (after any pooling).
+/// Builds the per-layer execution record from one engine run.
+/// `timesteps` is the timestep count of the layer's *input* stream (after
+/// any pooling).
 fn layer_execution(
     description: &str,
     mapping: &LayerMapping,
@@ -381,18 +374,6 @@ impl InferenceSession {
         &mut self.engine
     }
 
-    /// The execution strategy of the engine's per-slice worker units.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.engine.exec()
-    }
-
-    /// Changes the execution strategy (takes effect on the next inference;
-    /// never changes results).
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.engine.set_exec(exec);
-    }
-
     /// The membrane kernel the session's engine runs on (blocked/SIMD or the
     /// scalar oracle).
     #[must_use]
@@ -485,180 +466,12 @@ impl InferenceSession {
     }
 }
 
-/// Slice allocation of the pipelined layer-per-slice mapping mode: every
-/// accelerated layer gets an equal share of the slices, the first
-/// `num_slices % layers` layers get one extra.
-///
-/// # Errors
-///
-/// Returns [`SneError::PipelineDoesNotFit`] if there are fewer slices than
-/// layers or a layer exceeds its allocation in a single pass.
-pub(crate) fn pipeline_shares(
-    network: &CompiledNetwork,
-    config: &SneConfig,
-) -> Result<Vec<usize>, SneError> {
-    let accelerated = network.accelerated_layers();
-    if accelerated == 0 {
-        return Err(SneError::EmptyNetwork);
-    }
-    if config.num_slices < accelerated {
-        return Err(SneError::PipelineDoesNotFit {
-            layer: "whole network".to_owned(),
-            required_neurons: accelerated * config.neurons_per_slice(),
-            available_neurons: config.num_slices * config.neurons_per_slice(),
-        });
-    }
-    let base_share = config.num_slices / accelerated;
-    let remainder = config.num_slices % accelerated;
-    let mut shares = Vec::with_capacity(accelerated);
-    let mut layer_index = 0usize;
-    for stage in network.stages() {
-        if let Stage::Accelerated {
-            mapping,
-            description,
-        } = stage
-        {
-            let slices = base_share + usize::from(layer_index < remainder);
-            let available = slices * config.neurons_per_slice();
-            if mapping.total_output_neurons() > available {
-                return Err(SneError::PipelineDoesNotFit {
-                    layer: description.clone(),
-                    required_neurons: mapping.total_output_neurons(),
-                    available_neurons: available,
-                });
-            }
-            shares.push(slices);
-            layer_index += 1;
-        }
-    }
-    Ok(shares)
-}
-
-/// Builds the per-layer engines of the pipelined mode: one engine per
-/// accelerated layer (shares are in stage order), configured with that
-/// layer's slice share and the given per-engine execution strategy.
-pub(crate) fn pipeline_engines(
-    config: &SneConfig,
-    shares: &[usize],
-    exec: ExecStrategy,
-) -> Vec<Engine> {
-    shares
-        .iter()
-        .map(|&slices| {
-            Engine::with_exec(
-                SneConfig {
-                    num_slices: slices,
-                    ..*config
-                },
-                exec,
-            )
-        })
-        .collect()
-}
-
-/// A long-lived session for the pipelined layer-per-slice mapping mode of
-/// paper §III-D.5: the slices are partitioned among the layers once, each
-/// layer keeps its own engine, and output events flow to the next layer
-/// through the C-XBAR. Functionally identical to [`InferenceSession::infer`];
-/// the inference duration is the *makespan* of the wavefront over the
-/// per-timestep layer schedules, not the sum of the layer runtimes.
-#[derive(Debug)]
-pub struct PipelinedSession {
-    artifact: Arc<RuntimeArtifact>,
-    engines: Vec<Engine>,
-    states: Vec<LayerState>,
-}
-
-impl PipelinedSession {
-    /// Partitions the slices among the accelerated layers and allocates one
-    /// engine (and state buffer) per layer, once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SneError::PipelineDoesNotFit`] if there are fewer slices
-    /// than accelerated layers or a layer exceeds its slice allocation, and
-    /// propagates configuration validation errors.
-    pub fn new(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-    ) -> Result<Self, SneError> {
-        let artifact = Arc::new(RuntimeArtifact::new(network, config)?);
-        let shares = pipeline_shares(artifact.network(), artifact.config())?;
-        let engines = pipeline_engines(artifact.config(), &shares, ExecStrategy::Sequential);
-        let states = artifact
-            .network()
-            .stages()
-            .iter()
-            .filter_map(Stage::mapping)
-            .zip(&engines)
-            .map(|(mapping, engine)| LayerState::new(engine.config(), mapping))
-            .collect();
-        Ok(Self {
-            artifact,
-            engines,
-            states,
-        })
-    }
-
-    /// The compiled network the session executes.
-    #[must_use]
-    pub fn network(&self) -> &CompiledNetwork {
-        self.artifact.network()
-    }
-
-    /// Slices allocated to each accelerated layer.
-    #[must_use]
-    pub fn slice_shares(&self) -> Vec<usize> {
-        self.engines.iter().map(|e| e.config().num_slices).collect()
-    }
-
-    /// Runs one inference with all layers executing concurrently on their
-    /// slice partitions. `stats.total_cycles` (and the derived time, rate and
-    /// energy) reflect the real overlapped schedule: layer `l` starts
-    /// timestep `t` once it finished `t - 1` and layer `l - 1` delivered `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SneError::GeometryMismatch`] if the stream does not match
-    /// the network input, and propagates simulator errors.
-    pub fn infer(&mut self, input: &EventStream) -> Result<InferenceResult, SneError> {
-        check_geometry(self.artifact.network(), input)?;
-        let outcome = run_stages(
-            &mut self.engines,
-            self.artifact.network(),
-            input,
-            Some(self.artifact.plans().as_slice()),
-            Some(&mut self.states),
-            false,
-        )?;
-
-        // The layers overlap in time; the inference duration is the makespan
-        // of the per-timestep wavefront across the layer schedules.
-        let mut pipeline_stats = outcome.total;
-        pipeline_stats.total_cycles = wavefront_makespan(&outcome.profiles);
-
-        let (predicted_class, counts) = classify(
-            &outcome.stream,
-            usize::from(self.artifact.network().output_classes()),
-        );
-        let mean_activity = outcome.mean_activity();
-        Ok(self.artifact.result_from_stats(
-            pipeline_stats,
-            predicted_class,
-            counts,
-            outcome.layers,
-            mean_activity,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SneAccelerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sne_event::Event;
     use sne_model::topology::Topology;
     use sne_model::Shape;
 
@@ -839,21 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_session_matches_the_accelerator_entry_point() {
-        let network = compiled();
-        let stream = input_stream(17);
-        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(8));
-        let reference = accelerator.run_pipelined(&network, &stream).unwrap();
-        let mut session = PipelinedSession::new(network, SneConfig::with_slices(8)).unwrap();
-        assert_eq!(session.slice_shares(), vec![4, 4]);
-        let result = session.infer(&stream).unwrap();
-        assert_eq!(reference, result);
-        // Sessions are reusable: a second inference gives the same answer.
-        assert_eq!(session.infer(&stream).unwrap(), result);
-        assert_eq!(session.network().accelerated_layers(), 2);
-    }
-
-    #[test]
     fn threaded_session_is_bit_exact() {
         let network = compiled();
         let stream = input_stream(19);
@@ -866,32 +664,7 @@ mod tests {
             ExecStrategy::threaded(2),
         )
         .unwrap();
-        assert!(threaded.exec().is_parallel());
         assert_eq!(threaded.infer(&stream).unwrap(), expected);
-        threaded.set_exec(ExecStrategy::Sequential);
-        assert_eq!(threaded.infer(&stream).unwrap(), expected);
-    }
-
-    #[test]
-    fn pipelined_session_reports_layer_errors() {
-        // An input stream with valid geometry but an event outside the first
-        // layer's mapped feature map triggers a simulator error in layer 0;
-        // the pipelined session surfaces it like the accelerator entry point.
-        let network = compiled();
-        let mut stream = EventStream::new(8, 8, 2, 4);
-        stream.push_unchecked(Event::update(0, 7, 3, 3)); // channel out of range
-        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(8));
-        let expected = accelerator.run_pipelined(&network, &stream).unwrap_err();
-        let mut session = PipelinedSession::new(network, SneConfig::with_slices(8)).unwrap();
-        assert_eq!(session.infer(&stream).unwrap_err(), expected);
-    }
-
-    #[test]
-    fn pipelined_session_requires_enough_slices() {
-        assert!(matches!(
-            PipelinedSession::new(compiled(), SneConfig::with_slices(1)),
-            Err(SneError::PipelineDoesNotFit { .. })
-        ));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! 1. [`sne::artifact::RuntimeArtifact`] — one immutable compiled artifact
 //!    per model, shared by every engine and client;
-//! 2. [`sne::batch::EnginePool`] — a fleet of warm engines per model,
-//!    checked out per request;
+//! 2. [`sne::batch::EnginePool`] — a fleet of warm engines per model, each
+//!    owned by one worker of the model's work-stealing
+//!    [`sne::batch::Scheduler`];
 //! 3. this crate — a std-only HTTP/1.1 server (nonblocking sockets driven
 //!    by a hand-rolled [`reactor`] — epoll on Linux, `poll(2)` elsewhere — a
 //!    hand-rolled [`json`] codec, no new dependencies) exposing one-shot

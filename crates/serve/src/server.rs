@@ -86,7 +86,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sne::artifact::RuntimeArtifact;
-use sne::batch::{EnginePool, LatencyRecorder, LatencySummary, Scheduler};
+use sne::batch::{EnginePool, LatencySummary, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::run::InferenceResult;
 use sne::session::ChunkOutput;
@@ -216,6 +216,66 @@ impl RouteCounters {
             "stats" => &self.stats,
             "healthz" => &self.healthz,
             _ => &self.other,
+        }
+    }
+}
+
+/// Samples kept per latency series of the [`LatencyRecorder`] (oldest
+/// evicted first).
+const RECORDER_WINDOW: usize = 4096;
+
+/// Request totals plus a bounded window of recent queue-wait and service
+/// latencies, for `/v1/stats`. Every engine-served request is recorded
+/// once, by its completion callback.
+#[derive(Debug, Default)]
+struct LatencyRecorder {
+    inner: Mutex<RecorderInner>,
+}
+
+#[derive(Debug, Default)]
+struct RecorderInner {
+    completed: u64,
+    errors: u64,
+    queue_us: std::collections::VecDeque<f64>,
+    service_us: std::collections::VecDeque<f64>,
+}
+
+/// A [`LatencyRecorder`] snapshot: totals and the window's percentiles.
+struct RecorderStats {
+    completed: u64,
+    errors: u64,
+    queue: LatencySummary,
+    service: LatencySummary,
+}
+
+impl LatencyRecorder {
+    /// Records one completed request.
+    fn record(&self, queue_us: f64, service_us: f64, is_error: bool) {
+        let mut guard = lock_clean(&self.inner);
+        let inner = &mut *guard;
+        inner.completed += 1;
+        inner.errors += u64::from(is_error);
+        for (series, sample) in [
+            (&mut inner.queue_us, queue_us),
+            (&mut inner.service_us, service_us),
+        ] {
+            if series.len() == RECORDER_WINDOW {
+                series.pop_front();
+            }
+            series.push_back(sample);
+        }
+    }
+
+    fn stats(&self) -> RecorderStats {
+        let inner = lock_clean(&self.inner);
+        let summary = |series: &std::collections::VecDeque<f64>| {
+            LatencySummary::from_samples_us(&series.iter().copied().collect::<Vec<_>>())
+        };
+        RecorderStats {
+            completed: inner.completed,
+            errors: inner.errors,
+            queue: summary(&inner.queue_us),
+            service: summary(&inner.service_us),
         }
     }
 }
@@ -650,7 +710,7 @@ impl ServerBuilder {
         let shared = Arc::new(ServerShared {
             models,
             sessions,
-            recorder: LatencyRecorder::new(),
+            recorder: LatencyRecorder::default(),
             routes: RouteCounters::default(),
             request_log: Mutex::new(std::collections::VecDeque::new()),
             next_request_id: AtomicU64::new(1),
@@ -1634,11 +1694,9 @@ fn handle_infer(
     let model_name = model_name.to_owned();
     let request_id = request_id.to_owned();
     let keep_alive = request.keep_alive;
-    // Interactive priority lane: one-shot inferences are latency-sensitive
-    // and cut ahead of any bulk backlog on the fleet. The callback runs on
-    // the serving worker and only does the accounting — the raw result is
-    // shipped to the connection's reactor shard, which renders the
-    // response (off-worker serialization).
+    // The callback runs on the serving worker and only does the accounting
+    // — the raw result is shipped to the connection's reactor shard, which
+    // renders the response (off-worker serialization).
     entry.scheduler.call_async(stream, None, move |record| {
         let shared = callback_shared;
         let entry = &shared.models[index].1;
@@ -1756,12 +1814,12 @@ fn handle_stream_push(
     let request_id = request_id.to_owned();
     let keep_alive = request.keep_alive;
     let preferred_lane = checkout.preferred_lane;
-    // Interactive priority lane, with the parked affinity hint. The callback
-    // settles the checkout even when the connection has died, so a
-    // mid-stream disconnect cannot wedge the session busy. The response is
-    // rendered later, on the connection's shard; only the write-ahead park
-    // stays on the worker, because crash recovery rests on its ordering:
-    // snapshot on disk before the session is unmarked and acknowledged.
+    // Placed by the parked affinity hint. The callback settles the checkout
+    // even when the connection has died, so a mid-stream disconnect cannot
+    // wedge the session busy. The response is rendered later, on the
+    // connection's shard; only the write-ahead park stays on the worker,
+    // because crash recovery rests on its ordering: snapshot on disk before
+    // the session is unmarked and acknowledged.
     entry
         .scheduler
         .call_push_async(client, chunk, preferred_lane, move |record| {

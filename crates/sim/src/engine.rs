@@ -163,11 +163,6 @@ impl Engine {
         self.exec
     }
 
-    /// Changes the execution strategy (takes effect on the next run).
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.exec = exec;
-    }
-
     /// The configuration register file (for host-style programming).
     #[must_use]
     pub fn regfile_mut(&mut self) -> &mut RegisterFile {
@@ -1165,17 +1160,6 @@ mod tests {
         assert!(engine
             .run_layer_stateful_planned(&mapping, &plan, &single_spike_stream(), &mut state, false)
             .is_err());
-    }
-
-    #[test]
-    fn exec_strategy_is_switchable_on_a_live_engine() {
-        let mut engine = Engine::new(small_config());
-        let mapping = conv_mapping(1);
-        let a = engine.run_layer(&mapping, &single_spike_stream()).unwrap();
-        engine.set_exec(crate::exec::ExecStrategy::threaded(4));
-        let b = engine.run_layer(&mapping, &single_spike_stream()).unwrap();
-        assert_eq!(a, b);
-        assert!(engine.exec().is_parallel());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The SNE is parallel by construction: independent slices behind a crossbar,
 //! independent engine instances behind a batcher. The simulator mirrors that
 //! decomposition — per-slice worker units inside [`crate::Engine`], one
-//! engine per layer in the pipelined mode, one session per lane in a batch —
-//! and [`ExecStrategy`] decides whether those units run on the calling thread
-//! ([`ExecStrategy::Sequential`]) or are fanned out over host worker threads
-//! ([`ExecStrategy::Threaded`]) with [`std::thread::scope`].
+//! engine per lane in a batch — and [`ExecStrategy`] decides whether those
+//! units run on the calling thread ([`ExecStrategy::Sequential`]) or are
+//! fanned out over host worker threads ([`ExecStrategy::Threaded`]) with
+//! [`std::thread::scope`].
 //!
 //! The strategy never changes results: work items are disjoint (`&mut`
 //! borrows handed out per unit), every item is processed exactly once, and
@@ -56,25 +56,9 @@ impl ExecStrategy {
     /// bit-identical.
     #[must_use]
     pub fn auto() -> Self {
-        Self::auto_capped(usize::MAX)
-    }
-
-    /// [`ExecStrategy::auto`] with an upper bound on the worker count:
-    /// requesting more threads than the host has hardware threads for cannot
-    /// help, so the request is clamped to the available parallelism (and
-    /// resolves to [`ExecStrategy::Sequential`] when either side is 1).
-    #[must_use]
-    pub fn auto_capped(requested: usize) -> Self {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::from_threads(requested.min(available))
-    }
-
-    /// A threaded strategy sized to the host's available parallelism
-    /// (sequential when the host reports a single hardware thread) — an
-    /// alias of [`ExecStrategy::auto`].
-    #[must_use]
-    pub fn host() -> Self {
-        Self::auto()
+        Self::from_threads(
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        )
     }
 
     /// Number of worker threads the strategy uses (1 for sequential).
@@ -181,7 +165,6 @@ mod tests {
         assert_eq!(ExecStrategy::Threaded(0).threads(), 1);
         assert_eq!(ExecStrategy::threaded(4).threads(), 4);
         assert!(ExecStrategy::threaded(2).is_parallel());
-        assert!(ExecStrategy::host().threads() >= 1);
         assert_eq!(ExecStrategy::from_threads(0), ExecStrategy::Sequential);
         assert_eq!(ExecStrategy::from_threads(1), ExecStrategy::Sequential);
         assert_eq!(ExecStrategy::from_threads(4), ExecStrategy::Threaded(4));
@@ -191,18 +174,12 @@ mod tests {
     fn auto_resolves_to_the_host_parallelism() {
         let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let auto = ExecStrategy::auto();
-        assert_eq!(auto, ExecStrategy::host());
         if available <= 1 {
             // On a single-core host worker threads can only add overhead.
             assert_eq!(auto, ExecStrategy::Sequential);
         } else {
             assert_eq!(auto, ExecStrategy::Threaded(available));
         }
-        // A capped request never exceeds the host and never exceeds the cap.
-        assert!(ExecStrategy::auto_capped(2).threads() <= 2);
-        assert!(ExecStrategy::auto_capped(usize::MAX).threads() <= available.max(1));
-        assert_eq!(ExecStrategy::auto_capped(0), ExecStrategy::Sequential);
-        assert_eq!(ExecStrategy::auto_capped(1), ExecStrategy::Sequential);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod prelude {
     pub use sne::batch::{BatchReport, BatchRunner, EnginePool, LatencySummary, Scheduler};
     pub use sne::compile::CompiledNetwork;
     pub use sne::proportionality;
-    pub use sne::session::{ChunkOutput, InferenceSession, PipelinedSession};
+    pub use sne::session::{ChunkOutput, InferenceSession};
     pub use sne::{InferenceResult, SneAccelerator, SneError};
     pub use sne_energy::{AreaModel, EnergyModel, PerformanceModel, PowerModel};
     pub use sne_event::datasets::{EventDataset, GestureDataset, NmnistDataset};

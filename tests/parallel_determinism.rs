@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use sne::batch::BatchRunner;
 use sne::compile::CompiledNetwork;
-use sne::session::{InferenceSession, PipelinedSession};
+use sne::session::InferenceSession;
 use sne::ExecStrategy;
 use sne_event::{Event, EventStream};
 use sne_model::topology::Topology;
@@ -287,7 +287,6 @@ fn execution_units_are_send() {
     assert_send::<CycleStats>();
     assert_send::<Engine>();
     assert_send::<InferenceSession>();
-    assert_send::<PipelinedSession>();
     assert_send::<BatchRunner>();
 }
 

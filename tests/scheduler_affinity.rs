@@ -1,13 +1,11 @@
-//! Affinity is a placement hint, never a correctness constraint — and
-//! interactive work cuts ahead of bulk floods without starving them.
+//! Affinity is a placement hint, never a correctness constraint.
 //!
 //! The neuron state of a streaming session lives in its [`ClientState`],
 //! not in any engine, so a chunk served on the affine (warm) engine and a
 //! chunk served after a steal or a deliberate migration are bit-identical.
-//! These tests pin that invariant down, together with the priority-lane
-//! latency contract.
+//! These tests pin that invariant down.
 
-use sne::batch::{BatchRunner, EnginePool, LatencySummary, Scheduler};
+use sne::batch::{EnginePool, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
 use sne::{ExecStrategy, RuntimeArtifact};
@@ -161,49 +159,4 @@ fn steals_under_affinity_pressure_stay_bit_exact() {
     );
     drop(scheduler);
     assert_eq!(pool.idle_lanes(), 2);
-}
-
-/// The priority lanes: interactive calls issued into a standing bulk flood
-/// wait a small fraction of what the flood's own tail waits — and the
-/// flood still completes in full (the bypass guard never starves bulk).
-#[test]
-fn interactive_calls_cut_ahead_of_a_bulk_flood_without_starving_it() {
-    let network = Arc::new(compiled(5));
-    let mut runner = BatchRunner::with_exec(
-        Arc::clone(&network),
-        SneConfig::with_slices(2),
-        2,
-        ExecStrategy::threaded(2),
-    )
-    .unwrap();
-    let flood: Vec<EventStream> = (0..24).map(|i| stream(8, 300 + i)).collect();
-    let probe = stream(8, 999);
-    let mut session =
-        InferenceSession::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap();
-    let expected_probe = session.infer(&probe).unwrap();
-
-    for burst in &flood {
-        let _ = runner.submit(burst.clone());
-    }
-    // Interactive probes while the flood is pending.
-    let mut probe_queue_us = Vec::new();
-    for _ in 0..4 {
-        let record = runner.scheduler().call(probe.clone());
-        assert_eq!(record.result.as_ref().unwrap(), &expected_probe);
-        probe_queue_us.push(record.queue_us);
-    }
-    let records = runner.drain();
-    // Bulk progressed to completion: nothing lost, nothing starved.
-    assert_eq!(records.len(), flood.len());
-    assert!(records.iter().all(|r| r.result.is_ok()));
-    let bulk_queue: Vec<f64> = records.iter().map(|r| r.queue_us).collect();
-    let bulk_p50 = LatencySummary::from_samples_us(&bulk_queue).p50_us;
-    let probe_p50 = LatencySummary::from_samples_us(&probe_queue_us).p50_us;
-    // The flood's median job waits behind ~half the flood; an interactive
-    // probe waits at most a couple of in-flight services. Half the bulk
-    // median is a loose, timing-noise-proof bound.
-    assert!(
-        probe_p50 <= bulk_p50 / 2.0 + 1000.0,
-        "interactive p50 {probe_p50} vs bulk p50 {bulk_p50}"
-    );
 }

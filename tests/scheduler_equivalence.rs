@@ -1,7 +1,6 @@
-//! The dynamic scheduler's contract: checking engines out of a pool per
-//! request and serving a work queue with any number of workers must yield
-//! **exactly** the results of the legacy statically round-robin-pinned
-//! runner — per-stream results in input order (a statement strictly stronger
+//! The dynamic scheduler's contract: serving a work queue over a pool of
+//! engines with any number of workers must yield **exactly** the results of
+//! the statically round-robin-pinned sequential runner — per-stream results in input order (a statement strictly stronger
 //! than multiset equality), aggregated stats, modelled makespan and energy,
 //! and the same deterministic error choice — for every [`ExecStrategy`].
 
@@ -80,9 +79,6 @@ proptest! {
                     || (dynamic.aggregate_rate.is_infinite()
                         && expected.aggregate_rate.is_infinite())
             );
-            // And the statically pinned walk on worker threads agrees too.
-            let rr = runner.run_round_robin(&streams).unwrap();
-            prop_assert_eq!(&rr.results, &expected.results);
         }
     }
 
@@ -221,9 +217,9 @@ proptest! {
     }
 }
 
-/// Requests `call`ed concurrently from many threads (the server's request
-/// pattern) produce bit-identical results to dedicated sessions, and the
-/// scheduler's recorder counts every one of them.
+/// Requests `call`ed concurrently from many threads produce bit-identical
+/// results to dedicated sessions, and the scheduler counts every one of
+/// them.
 #[test]
 fn concurrent_callers_get_dedicated_session_results() {
     let network = Arc::new(compiled(9));
@@ -260,8 +256,6 @@ fn concurrent_callers_get_dedicated_session_results() {
     let stats = scheduler.stats();
     assert_eq!(stats.completed, 8);
     assert_eq!(stats.errors, 0);
-    assert_eq!(stats.service.count, 8);
-    assert!(stats.service.max_us >= stats.service.p99_us);
     // Workers own every engine while the scheduler lives; shutdown (via
     // drop) returns them all.
     assert_eq!(pool.idle_lanes(), 0);
