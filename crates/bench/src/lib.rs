@@ -1,4 +1,4 @@
-//! Shared helpers for the benchmark binaries and Criterion benches.
+//! Shared helpers for the benchmark binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's
 //! evaluation section (see `DESIGN.md` for the experiment index); the helpers
@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sne::compile::CompiledNetwork;
-use sne::SneAccelerator;
 use sne_event::{Event, EventStream};
 use sne_model::topology::Topology;
 use sne_model::Shape;
@@ -107,18 +106,10 @@ pub fn full_activity_stream(events_per_timestep: usize) -> EventStream {
     stream
 }
 
-/// Convenience: one accelerator per slice count of the sweep.
-#[must_use]
-pub fn accelerator_sweep() -> Vec<(usize, SneAccelerator)> {
-    SLICE_SWEEP
-        .iter()
-        .map(|&s| (s, SneAccelerator::new(SneConfig::with_slices(s))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sne::SneAccelerator;
 
     #[test]
     fn benchmark_network_compiles_and_runs() {
@@ -140,12 +131,5 @@ mod tests {
     fn workload_activity_is_close_to_request() {
         let stream = workload(16, 50, 0.03, 3);
         assert!((stream.activity() - 0.03).abs() < 0.01);
-    }
-
-    #[test]
-    fn accelerator_sweep_covers_the_paper_configs() {
-        let sweep = accelerator_sweep();
-        assert_eq!(sweep.len(), 4);
-        assert_eq!(sweep[3].1.config().num_slices, 8);
     }
 }

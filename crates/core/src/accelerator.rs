@@ -62,22 +62,10 @@ impl SneAccelerator {
         plans
     }
 
-    /// Whether a plan set is currently cached (for tests and diagnostics).
-    #[must_use]
-    pub fn has_cached_plans(&self) -> bool {
-        self.cached_plans.is_some()
-    }
-
     /// The engine configuration.
     #[must_use]
     pub fn config(&self) -> &SneConfig {
         self.engine.config()
-    }
-
-    /// The underlying cycle-level engine (e.g. to enable tracing).
-    #[must_use]
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 
     /// Runs one inference over an input event stream.
@@ -276,10 +264,10 @@ mod tests {
     #[test]
     fn plan_cache_is_reused_and_invalidated_per_network() {
         let mut accelerator = SneAccelerator::new(SneConfig::with_slices(2));
-        assert!(!accelerator.has_cached_plans());
+        assert!(accelerator.cached_plans.is_none());
         let network = compiled();
         let first = accelerator.run(&network, &input_stream(3)).unwrap();
-        assert!(accelerator.has_cached_plans());
+        assert!(accelerator.cached_plans.is_some());
         let cached = Arc::clone(accelerator.cached_plans.as_ref().unwrap());
         // Same network: the cached set is reused pointer-identically and the
         // result is unchanged.
@@ -315,9 +303,8 @@ mod tests {
 
     #[test]
     fn config_accessors_expose_engine() {
-        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(4));
+        let accelerator = SneAccelerator::new(SneConfig::with_slices(4));
         assert_eq!(accelerator.config().num_slices, 4);
-        accelerator.engine_mut().enable_trace(16);
     }
 
     #[test]

@@ -528,12 +528,6 @@ impl Scheduler {
         self.outstanding
     }
 
-    /// The engine pool behind the scheduler.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<EnginePool> {
-        &self.shared.pool
-    }
-
     /// Engine lane owned by each worker (`worker_lanes()[i]` is worker
     /// `i`'s lane): the valid affinity-hint values, and the lanes request
     /// records attribute service time to.
@@ -957,12 +951,6 @@ impl BatchRunner {
     #[must_use]
     pub fn lanes(&self) -> usize {
         self.pool.lanes()
-    }
-
-    /// The engine pool (e.g. to share it with a server front-end).
-    #[must_use]
-    pub fn pool(&self) -> &Arc<EnginePool> {
-        &self.pool
     }
 
     /// The dynamic scheduler (e.g. to [`Scheduler::call`] it directly from
@@ -1479,8 +1467,8 @@ mod tests {
         assert_eq!(report.steals, 0);
         // The sequential runner's single worker owns one of the two engines
         // for the scheduler's lifetime; the other lane stays idle.
-        assert_eq!(runner.pool().idle_lanes(), 1);
-        let pool = Arc::clone(runner.pool());
+        assert_eq!(runner.pool.idle_lanes(), 1);
+        let pool = Arc::clone(&runner.pool);
         drop(runner);
         assert_eq!(pool.idle_lanes(), 2);
     }

@@ -294,23 +294,6 @@ impl CompiledNetwork {
             .collect()
     }
 
-    /// Compiles the full serving artifact for this network under `config` —
-    /// shorthand for [`crate::artifact::RuntimeArtifact::new`], the
-    /// configure-once step of the serving runtime (DESIGN.md §10): the
-    /// returned artifact is immutable and shareable, and any number of
-    /// engines/clients ([`crate::batch::EnginePool`], `sne_serve`) execute
-    /// against it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`crate::artifact::RuntimeArtifact::new`].
-    pub fn into_artifact(
-        self,
-        config: sne_sim::SneConfig,
-    ) -> Result<crate::artifact::RuntimeArtifact, SneError> {
-        crate::artifact::RuntimeArtifact::new(self, config)
-    }
-
     /// Total number of neurons mapped onto the accelerator.
     #[must_use]
     pub fn total_neurons(&self) -> usize {
@@ -463,9 +446,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let compiled = CompiledNetwork::random(&topology(), &mut rng).unwrap();
         let layers = compiled.accelerated_layers();
-        let artifact = compiled
-            .into_artifact(sne_sim::SneConfig::with_slices(2))
-            .unwrap();
+        let artifact =
+            crate::artifact::RuntimeArtifact::new(compiled, sne_sim::SneConfig::with_slices(2))
+                .unwrap();
         assert_eq!(artifact.plans().len(), layers);
         assert_eq!(artifact.config().num_slices, 2);
     }

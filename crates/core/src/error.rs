@@ -109,7 +109,7 @@ mod tests {
         let err: SneError = ModelError::EmptyNetwork.into();
         assert!(matches!(err, SneError::Model(_)));
         assert!(err.source().is_some());
-        let err: SneError = SimError::UnknownRegister(3).into();
+        let err: SneError = SimError::MalformedOpSequence("missing reset".into()).into();
         assert!(matches!(err, SneError::Sim(_)));
         let err: SneError = EventError::EmptyGeometry.into();
         assert!(matches!(err, SneError::Event(_)));

@@ -31,8 +31,9 @@
 //! per-client [`artifact::ClientState`] (per-layer neuron state + streaming
 //! cursor) that parks between requests; and the fleet machinery in
 //! [`batch`] — an [`batch::EnginePool`] of warm engines, each owned by one
-//! worker of a work-stealing [`batch::Scheduler`] that records every
-//! request's queue-wait and service latency. [`batch::BatchRunner`] is the
+//! worker of a work-stealing [`batch::Scheduler`] that keeps counters only:
+//! each reply record carries its own queue-wait and service latency, and
+//! `sne_serve` records them. [`batch::BatchRunner`] is the
 //! closed-batch convenience on top (its statically pinned sequential walk
 //! survives as [`batch::BatchRunner::run_round_robin`], the oracle the
 //! dynamic scheduler is proven bit-identical against), and the `sne_serve`

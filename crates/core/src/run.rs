@@ -77,12 +77,6 @@ impl InferenceResult {
     pub fn input_events(&self) -> u64 {
         self.layers.first().map_or(0, |l| l.input_events)
     }
-
-    /// Energy per inference in µJ.
-    #[must_use]
-    pub fn energy_per_inference_uj(&self) -> f64 {
-        self.energy.energy_uj
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +105,6 @@ mod tests {
             mean_activity: 0.02,
         };
         assert_eq!(result.input_events(), 42);
-        assert!((result.energy_per_inference_uj() - 80.0).abs() < 1e-12);
     }
 
     #[test]

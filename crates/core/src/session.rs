@@ -368,12 +368,6 @@ impl InferenceSession {
         self.engine.config()
     }
 
-    /// The underlying cycle-level engine (e.g. to enable tracing).
-    #[must_use]
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
     /// The membrane kernel the session's engine runs on (blocked/SIMD or the
     /// scalar oracle).
     #[must_use]
@@ -393,13 +387,6 @@ impl InferenceSession {
     #[must_use]
     pub fn plans(&self) -> &Arc<Vec<LayerPlan>> {
         self.artifact.plans()
-    }
-
-    /// Whether inference runs on the compiled sparse datapath (`true`, the
-    /// default) or on the naive mapping walk.
-    #[must_use]
-    pub fn plan_enabled(&self) -> bool {
-        self.plan_enabled
     }
 
     /// Switches between the compiled sparse datapath and the naive mapping
@@ -510,13 +497,11 @@ mod tests {
         let stream = input_stream(31);
         let mut planned =
             InferenceSession::new(network.clone(), SneConfig::with_slices(2)).unwrap();
-        assert!(planned.plan_enabled());
         assert_eq!(planned.plans().len(), network.accelerated_layers());
         let expected = planned.infer(&stream).unwrap();
 
         let mut naive = InferenceSession::new(network, SneConfig::with_slices(2)).unwrap();
         naive.set_plan_enabled(false);
-        assert!(!naive.plan_enabled());
         assert_eq!(naive.infer(&stream).unwrap(), expected);
         // Streaming on the naive oracle matches too, then switch back.
         naive.reset();
@@ -645,10 +630,9 @@ mod tests {
 
     #[test]
     fn session_accessors_expose_engine_network_and_config() {
-        let mut session = InferenceSession::new(compiled(), SneConfig::with_slices(4)).unwrap();
+        let session = InferenceSession::new(compiled(), SneConfig::with_slices(4)).unwrap();
         assert_eq!(session.config().num_slices, 4);
         assert_eq!(session.network().output_classes(), 3);
-        session.engine_mut().enable_trace(8);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   serialize a client's full architectural state. Restoring yields a
 //!   `ClientState` that is **bit-identical** to the original: equal under
 //!   `PartialEq`, and producing identical outputs for every subsequent
-//!   [`RuntimeArtifact::push`].
-//! * [`RuntimeArtifact::snapshot_to`] / [`RuntimeArtifact::restore_from`]
-//!   are the file-backed convenience pair.
+//!   [`RuntimeArtifact::push`]. Parking a snapshot on disk is
+//!   `sne_store::SessionStore`'s job (the tmp-write/rename protocol and the
+//!   journal).
 //! * [`RuntimeArtifact::snapshot_artifact`] /
 //!   [`RuntimeArtifact::restore_artifact`] serialize the artifact itself
 //!   (compiled network, weights, configuration), so a server can verify at
@@ -26,8 +26,6 @@
 //! weight fingerprints and the quantization scales. A snapshot taken
 //! against one model fails restore against any other with
 //! [`StoreError::ArtifactMismatch`]; it can never be silently resumed.
-
-use std::path::Path;
 
 use sne_sim::mapping::MapShape;
 use sne_sim::{LayerMapping, LifHardwareParams, SneConfig};
@@ -235,32 +233,6 @@ impl RuntimeArtifact {
         finish_section(&results)?;
 
         Ok(client)
-    }
-
-    /// Writes a client snapshot to `path` (no atomicity — callers that need
-    /// crash-safe parking go through `sne_store::SessionStore`, which adds
-    /// the tmp-write/rename protocol and the journal).
-    ///
-    /// # Errors
-    ///
-    /// [`SneError::Snapshot`] carrying the I/O failure.
-    pub fn snapshot_to(
-        &self,
-        client: &ClientState,
-        path: impl AsRef<Path>,
-    ) -> Result<(), SneError> {
-        std::fs::write(path, self.snapshot_client(client))
-            .map_err(|e| SneError::from(StoreError::from(e)))
-    }
-
-    /// Reads and restores a client snapshot from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RuntimeArtifact::restore_client`], plus I/O failures.
-    pub fn restore_from(&self, path: impl AsRef<Path>) -> Result<ClientState, SneError> {
-        let bytes = std::fs::read(path).map_err(|e| SneError::from(StoreError::from(e)))?;
-        self.restore_client(&bytes)
     }
 
     /// Serializes the artifact itself — compiled network (stages, weights,
@@ -646,26 +618,6 @@ mod tests {
         assert!(matches!(
             artifact.restore_client(&artifact.snapshot_artifact()),
             Err(SneError::Snapshot(StoreError::Malformed(_)))
-        ));
-    }
-
-    #[test]
-    fn file_round_trip_via_snapshot_to() {
-        let artifact = artifact(11);
-        let mut engine = artifact.new_engine(ExecStrategy::Sequential);
-        let mut client = artifact.new_client();
-        artifact
-            .push(&mut engine, &mut client, &stream(7), true)
-            .unwrap();
-        let path =
-            std::env::temp_dir().join(format!("sne-snapshot-test-{}.snap", std::process::id()));
-        artifact.snapshot_to(&client, &path).unwrap();
-        let restored = artifact.restore_from(&path).unwrap();
-        assert_eq!(client, restored);
-        let _ = std::fs::remove_file(&path);
-        assert!(matches!(
-            artifact.restore_from(&path),
-            Err(SneError::Snapshot(StoreError::Io(_)))
         ));
     }
 

@@ -153,12 +153,6 @@ impl AreaModel {
         Self { technology }
     }
 
-    /// Technology parameters in use.
-    #[must_use]
-    pub fn technology(&self) -> TechnologyParams {
-        self.technology
-    }
-
     /// Area breakdown for a configuration.
     ///
     /// For the published slice counts (1, 2, 4, 8) with the default cluster
@@ -315,7 +309,7 @@ mod tests {
         let config = SneConfig::with_slices(8);
         let mm2 = model.total_mm2(&config);
         let kge = model.total_kge(&config);
-        assert!((mm2 - model.technology().kge_to_mm2(kge)).abs() < 1e-12);
+        assert!((mm2 - model.technology.kge_to_mm2(kge)).abs() < 1e-12);
         assert!(
             mm2 > 0.1 && mm2 < 1.0,
             "8-slice SNE should be a fraction of a mm2, got {mm2}"

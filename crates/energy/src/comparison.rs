@@ -48,14 +48,6 @@ pub struct PlatformRecord {
     pub voltage: Option<f64>,
 }
 
-impl PlatformRecord {
-    /// Returns `true` if this record describes the SNE itself.
-    #[must_use]
-    pub fn is_sne(&self) -> bool {
-        self.name.starts_with("SNE")
-    }
-}
-
 /// Literature rows of Table II (everything except the SNE row).
 #[must_use]
 pub fn literature_records() -> Vec<PlatformRecord> {
@@ -236,8 +228,8 @@ mod tests {
     fn table_contains_sne_plus_seven_platforms() {
         let table = comparison_table(&SneConfig::with_slices(8));
         assert_eq!(table.len(), 8);
-        assert!(table[0].is_sne());
-        assert!(!table[1].is_sne());
+        assert!(table[0].name.starts_with("SNE"));
+        assert!(!table[1].name.starts_with("SNE"));
     }
 
     #[test]

@@ -42,21 +42,6 @@ impl EnergyModel {
         Self::default()
     }
 
-    /// Creates the energy model from an explicit power model.
-    #[must_use]
-    pub fn with_power_model(power: PowerModel) -> Self {
-        Self {
-            power,
-            performance: PerformanceModel::new(),
-        }
-    }
-
-    /// The underlying power model.
-    #[must_use]
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
-    }
-
     /// Nominal energy per SOP at full update activity, in pJ (the Fig. 5b /
     /// Table II headline: 0.221 pJ for 8 slices).
     #[must_use]

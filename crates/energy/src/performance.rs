@@ -27,17 +27,6 @@ impl PerformanceModel {
         stats.achieved_gsops(config.clock_mhz)
     }
 
-    /// Utilization of the peak throughput by a measured run, in `[0, 1]`.
-    #[must_use]
-    pub fn utilization(&self, config: &SneConfig, stats: &CycleStats) -> f64 {
-        let peak = self.peak_gsops(config);
-        if peak == 0.0 {
-            0.0
-        } else {
-            self.achieved_gsops(config, stats) / peak
-        }
-    }
-
     /// Time to consume one input event, in nanoseconds (120 ns at 400 MHz).
     #[must_use]
     pub fn event_latency_ns(&self, config: &SneConfig) -> f64 {
@@ -79,25 +68,6 @@ mod tests {
     fn event_latency_is_120ns() {
         let model = PerformanceModel::new();
         assert!((model.event_latency_ns(&SneConfig::default()) - 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_is_achieved_over_peak() {
-        let model = PerformanceModel::new();
-        let config = SneConfig::with_slices(8);
-        // Fully-active run: 128 SOPs per cycle.
-        let stats = CycleStats {
-            total_cycles: 1_000,
-            synaptic_ops: 128_000,
-            ..CycleStats::default()
-        };
-        assert!((model.utilization(&config, &stats) - 1.0).abs() < 1e-9);
-        let half = CycleStats {
-            total_cycles: 1_000,
-            synaptic_ops: 64_000,
-            ..CycleStats::default()
-        };
-        assert!((model.utilization(&config, &half) - 0.5).abs() < 1e-9);
     }
 
     #[test]

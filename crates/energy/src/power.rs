@@ -79,12 +79,6 @@ impl PowerModel {
         }
     }
 
-    /// Technology parameters in use.
-    #[must_use]
-    pub fn technology(&self) -> TechnologyParams {
-        self.technology
-    }
-
     /// Published (or interpolated) energy per SOP at full activity, in pJ.
     #[must_use]
     pub fn energy_per_sop_pj(&self, config: &SneConfig) -> f64 {

@@ -6,7 +6,6 @@
 
 use crate::area::AreaBreakdown;
 use crate::comparison::PlatformRecord;
-use crate::energy::EnergyReport;
 use crate::power::PowerBreakdown;
 
 /// Formats one Fig. 4 row: the area breakdown of a slice configuration.
@@ -92,20 +91,6 @@ pub fn format_platform_row(record: &PlatformRecord) -> String {
     )
 }
 
-/// Formats an energy report produced by a simulator run.
-#[must_use]
-pub fn format_energy_report(label: &str, report: &EnergyReport) -> String {
-    format!(
-        "{label:<24} | {:8.3} ms | {:7.2} mW | {:8.2} uJ | {:.3} pJ/SOP | {:.2} TSOP/s/W | {} SOPs",
-        report.duration_ms,
-        report.average_power_mw,
-        report.energy_uj,
-        report.energy_per_sop_pj,
-        report.efficiency_tsops_w,
-        report.synaptic_ops
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,20 +143,5 @@ mod tests {
         missing.neurons = None;
         let row = format_platform_row(&missing);
         assert!(row.contains('-'));
-    }
-
-    #[test]
-    fn energy_report_row_is_labelled() {
-        let report = EnergyReport {
-            average_power_mw: 11.29,
-            duration_ms: 7.1,
-            energy_uj: 80.2,
-            energy_per_sop_pj: 0.221,
-            efficiency_tsops_w: 4.52,
-            synaptic_ops: 1000,
-        };
-        let row = format_energy_report("dvs-gesture best", &report);
-        assert!(row.contains("dvs-gesture best"));
-        assert!(row.contains("80.2"));
     }
 }

@@ -54,12 +54,6 @@ impl VoltageScaling {
     pub fn scale_efficiency(&self, efficiency_at_reference: f64, voltage: f64) -> f64 {
         efficiency_at_reference / (voltage / self.reference_voltage).powf(self.exponent)
     }
-
-    /// Scales a power value assuming the same workload (energy × fixed rate).
-    #[must_use]
-    pub fn scale_power(&self, power_at_reference: f64, voltage: f64) -> f64 {
-        self.scale_energy(power_at_reference, voltage)
-    }
 }
 
 #[cfg(test)]
@@ -100,6 +94,5 @@ mod tests {
     fn lower_voltage_lowers_energy() {
         let scaling = VoltageScaling::default();
         assert!(scaling.scale_energy(0.221, 0.7) < 0.221);
-        assert!(scaling.scale_power(11.29, 0.7) < 11.29);
     }
 }

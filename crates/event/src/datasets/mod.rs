@@ -54,67 +54,6 @@ pub trait EventDataset {
     }
 }
 
-/// A train/validation/test split of a dataset, expressed as index ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DatasetSplit {
-    /// Number of training samples.
-    pub train: u64,
-    /// Number of validation samples.
-    pub validation: u64,
-    /// Number of test samples.
-    pub test: u64,
-}
-
-impl DatasetSplit {
-    /// Split matching the paper's DVS-Gesture protocol: 65 % / 10 % / 25 %.
-    #[must_use]
-    pub fn gesture_protocol(total: u64) -> Self {
-        let train = total * 65 / 100;
-        let validation = total * 10 / 100;
-        Self {
-            train,
-            validation,
-            test: total - train - validation,
-        }
-    }
-
-    /// Split matching the paper's NMNIST protocol: 75 % / 10 % / 15 %.
-    #[must_use]
-    pub fn nmnist_protocol(total: u64) -> Self {
-        let train = total * 75 / 100;
-        let validation = total * 10 / 100;
-        Self {
-            train,
-            validation,
-            test: total - train - validation,
-        }
-    }
-
-    /// Total number of samples in the split.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.train + self.validation + self.test
-    }
-
-    /// Index range of the training set.
-    #[must_use]
-    pub fn train_range(&self) -> std::ops::Range<u64> {
-        0..self.train
-    }
-
-    /// Index range of the validation set.
-    #[must_use]
-    pub fn validation_range(&self) -> std::ops::Range<u64> {
-        self.train..self.train + self.validation
-    }
-
-    /// Index range of the test set.
-    #[must_use]
-    pub fn test_range(&self) -> std::ops::Range<u64> {
-        self.train + self.validation..self.total()
-    }
-}
-
 /// Derives a per-sample RNG from a dataset seed and a sample index, so that
 /// sample `i` is always identical regardless of generation order.
 pub(crate) fn sample_rng(seed: u64, index: u64) -> StdRng {
@@ -129,32 +68,6 @@ pub(crate) fn sample_rng(seed: u64, index: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gesture_split_matches_paper_percentages() {
-        let split = DatasetSplit::gesture_protocol(1000);
-        assert_eq!(split.train, 650);
-        assert_eq!(split.validation, 100);
-        assert_eq!(split.test, 250);
-        assert_eq!(split.total(), 1000);
-    }
-
-    #[test]
-    fn nmnist_split_matches_paper_percentages() {
-        let split = DatasetSplit::nmnist_protocol(1000);
-        assert_eq!(split.train, 750);
-        assert_eq!(split.validation, 100);
-        assert_eq!(split.test, 150);
-        assert_eq!(split.total(), 1000);
-    }
-
-    #[test]
-    fn split_ranges_are_contiguous_and_disjoint() {
-        let split = DatasetSplit::gesture_protocol(200);
-        assert_eq!(split.train_range().end, split.validation_range().start);
-        assert_eq!(split.validation_range().end, split.test_range().start);
-        assert_eq!(split.test_range().end, split.total());
-    }
 
     #[test]
     fn sample_rng_is_deterministic_per_index() {

@@ -244,12 +244,6 @@ impl PatternDataset {
         }
     }
 
-    /// The motion patterns (classes) of this dataset.
-    #[must_use]
-    pub fn patterns(&self) -> &[MotionPattern] {
-        &self.patterns
-    }
-
     /// Generates a sample together with its generator phase.
     #[must_use]
     pub fn sample_with_phase(&self, index: u64) -> PatternSample {

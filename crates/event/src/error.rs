@@ -52,13 +52,6 @@ pub enum EventError {
     UnknownOpCode(u8),
     /// A stream geometry parameter is zero.
     EmptyGeometry,
-    /// An underlying I/O operation failed while reading or writing AER data.
-    ///
-    /// Carries the source error's message (the enum is `Clone + Eq`, so the
-    /// non-cloneable [`std::io::Error`] itself cannot be stored).
-    Io(String),
-    /// Serialized AER data (binary container or CSV) is malformed.
-    Malformed(String),
 }
 
 impl fmt::Display for EventError {
@@ -93,8 +86,6 @@ impl fmt::Display for EventError {
             }
             Self::UnknownOpCode(code) => write!(f, "unknown event operation code {code}"),
             Self::EmptyGeometry => write!(f, "stream geometry must be non-zero"),
-            Self::Io(message) => write!(f, "aer i/o failed: {message}"),
-            Self::Malformed(message) => write!(f, "malformed aer data: {message}"),
         }
     }
 }
@@ -127,8 +118,6 @@ mod tests {
             EventError::InvalidFormat { total_bits: 30 },
             EventError::UnknownOpCode(7),
             EventError::EmptyGeometry,
-            EventError::Io("disk full".into()),
-            EventError::Malformed("line 3: expected 5 fields".into()),
         ];
         for err in errors {
             let msg = err.to_string();

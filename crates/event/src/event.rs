@@ -62,34 +62,10 @@ impl Event {
         Self::new(EventOp::Fire, t, 0, 0, 0)
     }
 
-    /// Returns the spatial address `(x, y)` of the event.
-    #[must_use]
-    pub fn address(&self) -> (u16, u16) {
-        (self.x, self.y)
-    }
-
     /// Returns `true` if this is an input spike (`UPDATE_OP`).
     #[must_use]
     pub fn is_spike(&self) -> bool {
         self.op == EventOp::Update
-    }
-
-    /// Returns a copy of the event shifted in time by `delta` timesteps.
-    #[must_use]
-    pub fn delayed(&self, delta: u32) -> Self {
-        Self {
-            t: self.t + delta,
-            ..*self
-        }
-    }
-
-    /// Returns a copy of the event translated by `(dx, dy)` with saturating
-    /// arithmetic (coordinates never wrap).
-    #[must_use]
-    pub fn translated(&self, dx: i32, dy: i32) -> Self {
-        let x = (i64::from(self.x) + i64::from(dx)).clamp(0, i64::from(u16::MAX)) as u16;
-        let y = (i64::from(self.y) + i64::from(dy)).clamp(0, i64::from(u16::MAX)) as u16;
-        Self { x, y, ..*self }
     }
 }
 
@@ -116,30 +92,9 @@ mod tests {
 
     #[test]
     fn reset_and_fire_have_zero_address() {
-        assert_eq!(Event::reset(7).address(), (0, 0));
-        assert_eq!(Event::fire(7).address(), (0, 0));
-    }
-
-    #[test]
-    fn delayed_shifts_time_only() {
-        let e = Event::update(5, 1, 2, 3);
-        let d = e.delayed(10);
-        assert_eq!(d.t, 15);
-        assert_eq!((d.ch, d.x, d.y), (1, 2, 3));
-    }
-
-    #[test]
-    fn translated_saturates_at_zero() {
-        let e = Event::update(0, 0, 2, 3);
-        let t = e.translated(-10, -10);
-        assert_eq!(t.address(), (0, 0));
-    }
-
-    #[test]
-    fn translated_saturates_at_u16_max() {
-        let e = Event::update(0, 0, u16::MAX - 1, 0);
-        let t = e.translated(10, 0);
-        assert_eq!(t.x, u16::MAX);
+        for e in [Event::reset(7), Event::fire(7)] {
+            assert_eq!((e.ch, e.x, e.y), (0, 0, 0));
+        }
     }
 
     #[test]

@@ -119,64 +119,6 @@ impl EventFormat {
         })
     }
 
-    /// Format sized for large feature maps (fewer timestamp bits, wider
-    /// addresses): `2 + 6 + 6 + 9 + 9`.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the widths are statically valid.
-    pub fn wide_address() -> Result<Self, EventError> {
-        Self::new(2, 6, 6, 9, 9)
-    }
-
-    /// Number of bits of the operation field.
-    #[must_use]
-    pub fn op_bits(&self) -> u8 {
-        self.op_bits
-    }
-
-    /// Number of bits of the timestamp field.
-    #[must_use]
-    pub fn t_bits(&self) -> u8 {
-        self.t_bits
-    }
-
-    /// Number of bits of the channel field.
-    #[must_use]
-    pub fn ch_bits(&self) -> u8 {
-        self.ch_bits
-    }
-
-    /// Number of bits of the horizontal address field.
-    #[must_use]
-    pub fn x_bits(&self) -> u8 {
-        self.x_bits
-    }
-
-    /// Number of bits of the vertical address field.
-    #[must_use]
-    pub fn y_bits(&self) -> u8 {
-        self.y_bits
-    }
-
-    /// Largest timestamp representable by this format.
-    #[must_use]
-    pub fn max_timestamp(&self) -> u32 {
-        mask(self.t_bits)
-    }
-
-    /// Largest channel index representable by this format.
-    #[must_use]
-    pub fn max_channel(&self) -> u16 {
-        mask(self.ch_bits) as u16
-    }
-
-    /// Largest spatial coordinate representable by this format, as `(x, y)`.
-    #[must_use]
-    pub fn max_address(&self) -> (u16, u16) {
-        (mask(self.x_bits) as u16, mask(self.y_bits) as u16)
-    }
-
     /// Packs a logical event into a 32-bit word.
     ///
     /// # Errors
@@ -228,15 +170,6 @@ impl EventFormat {
     pub fn pack_all(&self, events: &[Event]) -> Result<Vec<PackedEvent>, EventError> {
         events.iter().map(|e| self.pack(e)).collect()
     }
-
-    /// Unpacks a slice of words, stopping at the first failure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first unpacking error encountered.
-    pub fn unpack_all(&self, words: &[PackedEvent]) -> Result<Vec<Event>, EventError> {
-        words.iter().map(|w| self.unpack(*w)).collect()
-    }
 }
 
 fn mask(bits: u8) -> u32 {
@@ -262,10 +195,7 @@ mod tests {
     #[test]
     fn default_format_uses_all_32_bits() {
         let f = EventFormat::default();
-        assert_eq!(
-            f.op_bits() + f.t_bits() + f.ch_bits() + f.x_bits() + f.y_bits(),
-            32
-        );
+        assert_eq!(f.op_bits + f.t_bits + f.ch_bits + f.x_bits + f.y_bits, 32);
     }
 
     #[test]
@@ -307,21 +237,6 @@ mod tests {
             }
             other => panic!("expected overflow, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn wide_address_format_accepts_512_wide_maps() {
-        let f = EventFormat::wide_address().unwrap();
-        let e = Event::update(63, 10, 511, 300);
-        assert_eq!(f.unpack(f.pack(&e).unwrap()).unwrap(), e);
-    }
-
-    #[test]
-    fn max_fields_match_bit_widths() {
-        let f = EventFormat::default();
-        assert_eq!(f.max_timestamp(), 255);
-        assert_eq!(f.max_channel(), 63);
-        assert_eq!(f.max_address(), (255, 255));
     }
 
     #[test]

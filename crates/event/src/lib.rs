@@ -36,13 +36,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod aer;
 pub mod datasets;
 pub mod event;
 pub mod format;
 pub mod noise;
 pub mod op;
-pub mod sort;
 pub mod stats;
 pub mod stream;
 pub mod tensor;

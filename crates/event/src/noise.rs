@@ -33,29 +33,6 @@ impl Default for NoiseConfig {
     }
 }
 
-impl NoiseConfig {
-    /// A completely clean sensor (no noise at all).
-    #[must_use]
-    pub fn clean() -> Self {
-        Self {
-            background_rate: 0.0,
-            hot_pixels: 0,
-            jitter: 0,
-        }
-    }
-
-    /// A noisy sensor: strong background activity, a few hot pixels and ±1
-    /// timestep of jitter.
-    #[must_use]
-    pub fn noisy() -> Self {
-        Self {
-            background_rate: 1e-3,
-            hot_pixels: 3,
-            jitter: 1,
-        }
-    }
-}
-
 /// Applies the noise model to a stream, returning a new stream with the same
 /// geometry. Signal events are jittered; background and hot-pixel events are
 /// added on top. The result is time-sorted.
@@ -154,7 +131,12 @@ mod tests {
     fn clean_noise_preserves_events_exactly() {
         let s = base_stream();
         let mut rng = StdRng::seed_from_u64(1);
-        let noisy = apply_noise(&s, &NoiseConfig::clean(), &mut rng);
+        let clean = NoiseConfig {
+            background_rate: 0.0,
+            hot_pixels: 0,
+            jitter: 0,
+        };
+        let noisy = apply_noise(&s, &clean, &mut rng);
         assert_eq!(noisy.spike_count(), s.spike_count());
     }
 

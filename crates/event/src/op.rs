@@ -73,14 +73,6 @@ impl EventOp {
     pub fn carries_address(self) -> bool {
         matches!(self, EventOp::Update)
     }
-
-    /// Returns `true` if the operation triggers neuron state writes on every
-    /// cluster of a slice (reset and fire do, update only touches the
-    /// receptive field).
-    #[must_use]
-    pub fn is_broadcast(self) -> bool {
-        matches!(self, EventOp::Reset | EventOp::Fire)
-    }
 }
 
 impl fmt::Display for EventOp {
@@ -116,13 +108,6 @@ mod tests {
         assert!(EventOp::Update.carries_address());
         assert!(!EventOp::Reset.carries_address());
         assert!(!EventOp::Fire.carries_address());
-    }
-
-    #[test]
-    fn reset_and_fire_are_broadcast() {
-        assert!(EventOp::Reset.is_broadcast());
-        assert!(EventOp::Fire.is_broadcast());
-        assert!(!EventOp::Update.is_broadcast());
     }
 
     #[test]

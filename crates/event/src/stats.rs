@@ -67,16 +67,6 @@ impl ActivityStats {
             self.idle_timesteps as f64 / self.spikes_per_timestep.len() as f64
         }
     }
-
-    /// Mean number of spikes per timestep.
-    #[must_use]
-    pub fn mean_spikes_per_timestep(&self) -> f64 {
-        if self.spikes_per_timestep.is_empty() {
-            0.0
-        } else {
-            self.total_spikes as f64 / self.spikes_per_timestep.len() as f64
-        }
-    }
 }
 
 impl fmt::Display for ActivityStats {
@@ -156,11 +146,5 @@ mod tests {
         let text = s.stats().to_string();
         assert!(text.contains("1 spikes"));
         assert!(text.contains("20 timesteps"));
-    }
-
-    #[test]
-    fn mean_spikes_per_timestep() {
-        let s = stream_with_spikes(&[(0, 0, 1, 1), (1, 0, 1, 1), (2, 0, 1, 1), (3, 0, 1, 1)]);
-        assert!((s.stats().mean_spikes_per_timestep() - 0.2).abs() < 1e-12);
     }
 }

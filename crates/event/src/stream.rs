@@ -249,43 +249,14 @@ impl EventStream {
         ActivityStats::from_stream(self)
     }
 
-    /// Spikes occurring at timestep `t`, in insertion order.
-    #[must_use]
-    pub fn spikes_at(&self, t: u32) -> Vec<Event> {
-        self.events
-            .iter()
-            .filter(|e| e.is_spike() && e.t == t)
-            .copied()
-            .collect()
-    }
-
-    /// Groups spikes by timestep: element `t` of the returned vector holds the
-    /// spikes of timestep `t`.
-    #[must_use]
-    pub fn spikes_by_timestep(&self) -> Vec<Vec<Event>> {
-        let mut buckets = vec![Vec::new(); self.geometry.timesteps as usize];
-        for e in self.events.iter().filter(|e| e.is_spike()) {
-            buckets[e.t as usize].push(*e);
-        }
-        buckets
-    }
-
     /// Builds the full operation sequence the SNE consumes for this stream:
     /// one `RST_OP`, then for each timestep its spikes followed by one
     /// `FIRE_OP` (paper §III-C / Fig. 3).
     #[must_use]
     pub fn to_op_sequence(&self) -> Vec<Event> {
-        self.op_sequence(true)
-    }
-
-    /// Builds the operation sequence of a *continuation* chunk: the same as
-    /// [`EventStream::to_op_sequence`] but without the leading `RST_OP`, so
-    /// neuron state carried over from the previous chunk of a continuous
-    /// feed survives (the streaming mode of the `sne` crate's
-    /// `InferenceSession`).
-    #[must_use]
-    pub fn to_op_sequence_continuing(&self) -> Vec<Event> {
-        self.op_sequence(false)
+        let mut ops = Vec::new();
+        self.op_sequence_into(true, &mut ops);
+        ops
     }
 
     /// [`EventStream::to_op_sequence`] into a caller-provided buffer
@@ -295,16 +266,14 @@ impl EventStream {
         self.op_sequence_into(true, out);
     }
 
-    /// [`EventStream::to_op_sequence_continuing`] into a caller-provided
-    /// buffer (cleared first, capacity kept).
+    /// The operation sequence of a *continuation* chunk, into a
+    /// caller-provided buffer (cleared first, capacity kept): the same as
+    /// [`EventStream::to_op_sequence_into`] but without the leading `RST_OP`,
+    /// so neuron state carried over from the previous chunk of a continuous
+    /// feed survives (the streaming mode of the `sne` crate's
+    /// `InferenceSession`).
     pub fn to_op_sequence_continuing_into(&self, out: &mut Vec<Event>) {
         self.op_sequence_into(false, out);
-    }
-
-    fn op_sequence(&self, reset: bool) -> Vec<Event> {
-        let mut ops = Vec::new();
-        self.op_sequence_into(reset, &mut ops);
-        ops
     }
 
     /// One counting-sort pass instead of per-timestep bucket vectors: count
@@ -662,7 +631,8 @@ mod tests {
     fn continuing_op_sequence_has_no_reset() {
         let mut s = stream();
         s.push(Event::update(2, 0, 1, 1)).unwrap();
-        let ops = s.to_op_sequence_continuing();
+        let mut ops = Vec::new();
+        s.to_op_sequence_continuing_into(&mut ops);
         assert!(ops.iter().all(|e| e.op != EventOp::Reset));
         assert_eq!(ops.len(), s.to_op_sequence().len() - 1);
         assert_eq!(
@@ -766,19 +736,6 @@ mod tests {
             }
             proptest::prop_assert_eq!(s.downscale(factor), s.downscale_reference(factor));
         }
-    }
-
-    #[test]
-    fn spikes_by_timestep_buckets_all_spikes() {
-        let mut s = stream();
-        s.push(Event::update(0, 0, 1, 1)).unwrap();
-        s.push(Event::update(0, 1, 2, 2)).unwrap();
-        s.push(Event::update(9, 0, 3, 3)).unwrap();
-        let buckets = s.spikes_by_timestep();
-        assert_eq!(buckets.len(), 10);
-        assert_eq!(buckets[0].len(), 2);
-        assert_eq!(buckets[9].len(), 1);
-        assert!(buckets[5].is_empty());
     }
 
     #[test]

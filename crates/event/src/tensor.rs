@@ -2,15 +2,15 @@
 //!
 //! The functional reference model (crate `sne-model`) operates on dense
 //! binary tensors, while the accelerator consumes sparse event streams.
-//! [`EventTensor`] converts between the two views; the conversion is lossless
-//! for `UPDATE_OP` events (duplicate events at the same position collapse to
-//! a single binary spike, matching the binary input/output feature maps of
-//! SNNs described in paper §III-A).
+//! [`EventTensor::from_stream`] builds the dense view of a stream's
+//! `UPDATE_OP` events (duplicate events at the same position collapse to a
+//! single binary spike, matching the binary input/output feature maps of SNNs
+//! described in paper §III-A).
 
 use serde::{Deserialize, Serialize};
 
 use crate::stream::{EventStream, Geometry};
-use crate::{Event, EventError};
+use crate::EventError;
 
 /// A dense binary spike tensor with shape `[timesteps, channels, height, width]`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,43 +109,6 @@ impl EventTensor {
         tensor
     }
 
-    /// Converts the tensor to a time-ordered event stream of `UPDATE_OP`
-    /// events (one per set bit).
-    #[must_use]
-    pub fn to_stream(&self) -> EventStream {
-        let g = self.geometry;
-        let mut stream = EventStream::with_geometry(g);
-        for t in 0..g.timesteps {
-            for ch in 0..g.channels {
-                for y in 0..g.height {
-                    for x in 0..g.width {
-                        if self.data[self.index(t, ch, x, y)] {
-                            stream.push_unchecked(Event::update(t, ch, x, y));
-                        }
-                    }
-                }
-            }
-        }
-        stream
-    }
-
-    /// Returns the binary frame at timestep `t` and channel `ch` as a
-    /// row-major `height x width` vector, or `None` if out of range.
-    #[must_use]
-    pub fn frame(&self, t: u32, ch: u16) -> Option<Vec<bool>> {
-        let g = self.geometry;
-        if t >= g.timesteps || ch >= g.channels {
-            return None;
-        }
-        let mut out = Vec::with_capacity(g.spatial_size());
-        for y in 0..g.height {
-            for x in 0..g.width {
-                out.push(self.data[self.index(t, ch, x, y)]);
-            }
-        }
-        Some(out)
-    }
-
     /// Sums spikes over time per `(ch, y, x)` position, producing a spike-count
     /// map that is used as the rate-coded output of the reference model.
     #[must_use]
@@ -173,6 +136,7 @@ impl EventTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Event;
 
     fn geometry() -> Geometry {
         Geometry::new(4, 3, 2, 5).unwrap()
@@ -210,23 +174,8 @@ mod tests {
         s.push(Event::update(3, 1, 2, 0)).unwrap();
         let tensor = EventTensor::from_stream(&s);
         assert_eq!(tensor.spike_count(), 2);
-        let back = tensor.to_stream();
-        assert_eq!(back.spike_count(), 2);
-        assert!(back.is_time_ordered());
-        assert_eq!(EventTensor::from_stream(&back), tensor);
-    }
-
-    #[test]
-    fn frame_extracts_one_timestep_channel() {
-        let mut t = EventTensor::zeros(geometry());
-        t.set(1, 0, 0, 0, true).unwrap();
-        t.set(1, 0, 3, 2, true).unwrap();
-        let frame = t.frame(1, 0).unwrap();
-        assert_eq!(frame.len(), 12);
-        assert!(frame[0]);
-        assert!(frame[11]);
-        assert_eq!(frame.iter().filter(|&&b| b).count(), 2);
-        assert!(t.frame(5, 0).is_none());
+        assert_eq!(tensor.get(0, 0, 1, 1), Some(true));
+        assert_eq!(tensor.get(3, 1, 2, 0), Some(true));
     }
 
     #[test]

@@ -1,23 +1,10 @@
-//! Classification, accuracy evaluation and activity measurement.
+//! Accuracy evaluation and activity measurement.
 
 use serde::{Deserialize, Serialize};
 use sne_event::datasets::EventDataset;
 
-use crate::network::{Network, RunResult};
+use crate::network::Network;
 use crate::ModelError;
-
-/// Outcome of classifying one event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Classification {
-    /// Index of the predicted class.
-    pub predicted: usize,
-    /// Output spike counts per class.
-    pub spike_counts: Vec<u32>,
-    /// Mean network activity during the inference (drives the energy model).
-    pub activity: f64,
-    /// Total synaptic operations performed.
-    pub synaptic_ops: u64,
-}
 
 /// Accuracy evaluation over a dataset slice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,28 +39,6 @@ impl Evaluation {
     }
 }
 
-/// Classifies one event stream with a spiking network.
-///
-/// # Errors
-///
-/// Propagates [`Network::run`] errors (shape mismatch, empty network).
-pub fn classify(
-    network: &mut Network,
-    stream: &sne_event::EventStream,
-) -> Result<Classification, ModelError> {
-    let result = network.run_stream(stream)?;
-    Ok(classification_from(&result))
-}
-
-fn classification_from(result: &RunResult) -> Classification {
-    Classification {
-        predicted: result.predicted_class(),
-        spike_counts: result.output_spike_counts.clone(),
-        activity: result.mean_activity(),
-        synaptic_ops: result.total_synaptic_ops,
-    }
-}
-
 /// Evaluates a network over a contiguous index range of a dataset.
 ///
 /// # Errors
@@ -101,15 +66,16 @@ pub fn evaluate<D: EventDataset>(
     for index in indices {
         let sample = dataset.sample(index);
         let result = network.run_stream(&sample.stream)?;
-        let classification = classification_from(&result);
-        if classification.predicted == sample.label {
+        let predicted = result.predicted_class();
+        if predicted == sample.label {
             correct += 1;
         }
-        confusion[sample.label][classification.predicted.min(classes - 1)] += 1;
-        activity_sum += classification.activity;
-        min_activity = min_activity.min(classification.activity);
-        max_activity = max_activity.max(classification.activity);
-        sop_sum += classification.synaptic_ops as f64;
+        confusion[sample.label][predicted.min(classes - 1)] += 1;
+        let activity = result.mean_activity();
+        activity_sum += activity;
+        min_activity = min_activity.min(activity);
+        max_activity = max_activity.max(activity);
+        sop_sum += result.total_synaptic_ops as f64;
         input_spike_sum += result.input_spikes as f64;
         samples += 1;
     }
@@ -134,9 +100,7 @@ mod tests {
     use crate::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sne_event::datasets::MotionPattern;
-    use sne_event::datasets::{EventDataset, PatternDataset};
-    use sne_event::{Event, EventStream};
+    use sne_event::datasets::{MotionPattern, PatternDataset};
 
     fn dataset() -> PatternDataset {
         PatternDataset::new(
@@ -164,16 +128,6 @@ mod tests {
         Topology::tiny(Shape::new(2, 16, 16), 4, 2)
             .build_random(NeuronConfig::default_lif(), &mut rng)
             .unwrap()
-    }
-
-    #[test]
-    fn classify_returns_a_valid_class() {
-        let mut net = network();
-        let sample = dataset().sample(0);
-        let c = classify(&mut net, &sample.stream).unwrap();
-        assert!(c.predicted < 2);
-        assert_eq!(c.spike_counts.len(), 2);
-        assert!(c.activity >= 0.0 && c.activity <= 1.0);
     }
 
     #[test]
@@ -210,13 +164,5 @@ mod tests {
             confusion: Vec::new(),
         };
         assert_eq!(eval.accuracy(), 0.0);
-    }
-
-    #[test]
-    fn classify_propagates_shape_errors() {
-        let mut net = network();
-        let mut stream = EventStream::new(8, 8, 2, 20);
-        stream.push(Event::update(0, 0, 1, 1)).unwrap();
-        assert!(classify(&mut net, &stream).is_err());
     }
 }

@@ -87,20 +87,16 @@ impl ConvLayer {
         self.weights[self.weight_index(out_ch, in_ch, ky, kx)]
     }
 
-    /// Sets the weight at `[out_ch][in_ch][ky][kx]`.
+    /// Sets the weight at `[out_ch][in_ch][ky][kx]` (the unit tests' fixture
+    /// setter).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn set_weight(&mut self, out_ch: u16, in_ch: u16, ky: u16, kx: u16, value: f32) {
+    #[cfg(test)]
+    fn set_weight(&mut self, out_ch: u16, in_ch: u16, ky: u16, kx: u16, value: f32) {
         let idx = self.weight_index(out_ch, in_ch, ky, kx);
         self.weights[idx] = value;
-    }
-
-    /// All weights in `[out_ch][in_ch][kh][kw]` layout.
-    #[must_use]
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
     }
 
     /// Replaces all weights.

@@ -51,12 +51,6 @@ impl DenseLayer {
         })
     }
 
-    /// Number of output neurons.
-    #[must_use]
-    pub fn outputs(&self) -> u16 {
-        self.outputs
-    }
-
     /// Number of inputs (flattened input shape).
     #[must_use]
     pub fn inputs(&self) -> usize {
@@ -73,20 +67,16 @@ impl DenseLayer {
         self.weights[usize::from(output) * self.inputs() + input]
     }
 
-    /// Sets the weight connecting flattened input `input` to `output`.
+    /// Sets the weight connecting flattened input `input` to `output` (the
+    /// unit tests' fixture setter).
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn set_weight(&mut self, output: u16, input: usize, value: f32) {
+    #[cfg(test)]
+    fn set_weight(&mut self, output: u16, input: usize, value: f32) {
         let inputs = self.inputs();
         self.weights[usize::from(output) * inputs + input] = value;
-    }
-
-    /// All weights in `[output][input]` layout.
-    #[must_use]
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
     }
 
     /// Replaces all weights.

@@ -20,18 +20,6 @@ impl NeuronConfig {
     pub fn default_lif() -> Self {
         NeuronConfig::Lif(LifParams::default())
     }
-
-    /// Default SRM baseline configuration.
-    #[must_use]
-    pub fn default_srm() -> Self {
-        NeuronConfig::Srm(SrmParams::default())
-    }
-
-    /// Returns `true` for the quantized LIF variant.
-    #[must_use]
-    pub fn is_lif(&self) -> bool {
-        matches!(self, NeuronConfig::Lif(_))
-    }
 }
 
 /// Coarse classification of a layer, used for reporting and mapping.
@@ -72,15 +60,4 @@ pub trait EventLayer {
 
     /// Human-readable description (e.g. `conv 2x32 3x3`).
     fn describe(&self) -> String;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn neuron_config_discriminates() {
-        assert!(NeuronConfig::default_lif().is_lif());
-        assert!(!NeuronConfig::default_srm().is_lif());
-    }
 }

@@ -164,12 +164,6 @@ impl Network {
         &self.layers
     }
 
-    /// Total number of neurons across all layers.
-    #[must_use]
-    pub fn num_neurons(&self) -> usize {
-        self.layers.iter().map(|l| l.num_neurons()).sum()
-    }
-
     /// Resets all neuron state (start of a new inference).
     pub fn reset(&mut self) {
         for layer in &mut self.layers {
@@ -331,7 +325,6 @@ mod tests {
         assert_eq!(n.output_shape(), Shape::new(3, 1, 1));
         assert_eq!(n.len(), 3);
         assert!(!n.is_empty());
-        assert_eq!(n.num_neurons(), 2 * 16 + 8 + 3);
     }
 
     #[test]

@@ -85,12 +85,6 @@ impl SrmNeuron {
     pub fn params(&self) -> SrmParams {
         self.params
     }
-
-    /// Current synaptic current (the low-pass-filtered input).
-    #[must_use]
-    pub fn synaptic_current(&self) -> f32 {
-        self.synaptic_current
-    }
 }
 
 impl Neuron for SrmNeuron {
@@ -169,7 +163,7 @@ mod tests {
         let _ = n.fire_and_reset();
         n.reset();
         assert_eq!(n.membrane(), 0.0);
-        assert_eq!(n.synaptic_current(), 0.0);
+        assert_eq!(n.synaptic_current, 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the membrane potential on 8 bits (`-128..=127`), see paper §III-D.4 and
 //! Table II. Training happens in floating point (in the `train` module); the
 //! helpers here map trained weights to the hardware integer grid with a
-//! per-layer scale, and provide the saturating arithmetic of the datapath.
+//! per-layer scale.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,26 +18,12 @@ pub const WEIGHT_MAX: i8 = 7;
 pub const STATE_MIN: i8 = i8::MIN;
 /// Largest representable 8-bit membrane state.
 pub const STATE_MAX: i8 = i8::MAX;
-/// Number of bits used for synaptic weights.
-pub const WEIGHT_BITS: u8 = 4;
-/// Number of bits used for the membrane state.
-pub const STATE_BITS: u8 = 8;
 
 /// Clamps a 64-bit value into an arbitrary `[lo, hi]` interval and narrows it
 /// to 32 bits.
 #[must_use]
 pub fn clamp_i64(value: i64, lo: i64, hi: i64) -> i32 {
     value.clamp(lo, hi) as i32
-}
-
-/// Saturating addition on the 8-bit membrane grid.
-#[must_use]
-pub fn saturating_state_add(state: i32, delta: i32) -> i32 {
-    clamp_i64(
-        i64::from(state) + i64::from(delta),
-        i64::from(STATE_MIN),
-        i64::from(STATE_MAX),
-    )
 }
 
 /// Quantizes a single floating-point weight to the 4-bit grid with the given
@@ -95,20 +81,6 @@ impl QuantizedWeights {
             .map(|&w| quantize_weight(w, scale).expect("calibrated scale is positive"))
             .collect();
         Self { values, scale }
-    }
-
-    /// Quantizes with an explicit scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidScale`] if `scale` is not positive and
-    /// finite.
-    pub fn with_scale(weights: &[f32], scale: f32) -> Result<Self, ModelError> {
-        let values = weights
-            .iter()
-            .map(|&w| quantize_weight(w, scale))
-            .collect::<Result<_, _>>()?;
-        Ok(Self { values, scale })
     }
 
     /// Reconstructed floating-point weights.
@@ -180,25 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn saturating_state_add_clamps_both_ends() {
-        assert_eq!(saturating_state_add(120, 20), i32::from(STATE_MAX));
-        assert_eq!(saturating_state_add(-120, -20), i32::from(STATE_MIN));
-        assert_eq!(saturating_state_add(10, 5), 15);
-    }
-
-    #[test]
     fn dequantize_inverts_quantize_on_grid_points() {
         let scale = 0.25;
         for v in WEIGHT_MIN..=WEIGHT_MAX {
             let f = dequantize_weight(v, scale);
             assert_eq!(quantize_weight(f, scale).unwrap(), v);
         }
-    }
-
-    #[test]
-    fn with_scale_propagates_errors() {
-        assert!(QuantizedWeights::with_scale(&[1.0], 0.0).is_err());
-        let q = QuantizedWeights::with_scale(&[1.0, -0.5], 0.5).unwrap();
-        assert_eq!(q.values, vec![2, -1]);
     }
 }

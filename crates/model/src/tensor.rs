@@ -54,12 +54,6 @@ impl Shape {
             + usize::from(x)
     }
 
-    /// Spatial size `height * width`.
-    #[must_use]
-    pub fn spatial(&self) -> usize {
-        usize::from(self.height) * usize::from(self.width)
-    }
-
     /// Shape as the `(channels, height, width)` tuple used in error messages.
     #[must_use]
     pub fn as_tuple(&self) -> (u16, u16, u16) {
@@ -172,21 +166,6 @@ impl RateMap {
         }
     }
 
-    /// Creates a map from raw data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != shape.len()`.
-    #[must_use]
-    pub fn from_vec(shape: Shape, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            shape.len(),
-            "rate map data does not match its shape"
-        );
-        Self { shape, data }
-    }
-
     /// Shape of the map.
     #[must_use]
     pub fn shape(&self) -> Shape {
@@ -218,33 +197,6 @@ impl RateMap {
     pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
-
-    /// Underlying data as a mutable slice.
-    #[must_use]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Builds a rate map by averaging binary frames over time.
-    #[must_use]
-    pub fn from_frames(frames: &[Frame]) -> Self {
-        assert!(!frames.is_empty(), "cannot average zero frames");
-        let shape = frames[0].shape();
-        let mut data = vec![0.0f32; shape.len()];
-        for frame in frames {
-            assert_eq!(frame.shape(), shape, "all frames must share a shape");
-            for (acc, &bit) in data.iter_mut().zip(frame.as_slice()) {
-                if bit {
-                    *acc += 1.0;
-                }
-            }
-        }
-        let n = frames.len() as f32;
-        for value in &mut data {
-            *value /= n;
-        }
-        Self { shape, data }
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +211,6 @@ mod tests {
         assert_eq!(s.index(0, 0, 3), 3);
         assert_eq!(s.index(0, 1, 0), 4);
         assert_eq!(s.index(1, 0, 0), 12);
-        assert_eq!(s.spatial(), 12);
         assert!(!s.is_empty());
         assert!(Shape::new(0, 3, 4).is_empty());
     }
@@ -284,25 +235,6 @@ mod tests {
         assert_eq!(spikes.len(), 2);
         assert!(spikes.contains(&(1, 2, 3)));
         assert!(spikes.contains(&(0, 1, 2)));
-    }
-
-    #[test]
-    fn rate_map_from_frames_averages() {
-        let shape = Shape::new(1, 1, 2);
-        let mut a = Frame::zeros(shape);
-        a.set(0, 0, 0, true);
-        let mut b = Frame::zeros(shape);
-        b.set(0, 0, 0, true);
-        b.set(0, 0, 1, true);
-        let rate = RateMap::from_frames(&[a, b]);
-        assert!((rate.get(0, 0, 0) - 1.0).abs() < 1e-6);
-        assert!((rate.get(0, 0, 1) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn rate_map_from_vec_checks_length() {
-        let _ = RateMap::from_vec(Shape::new(1, 2, 2), vec![0.0; 3]);
     }
 
     #[test]

@@ -21,17 +21,6 @@ impl SgdOptimizer {
         }
     }
 
-    /// Learning rate currently in use.
-    #[must_use]
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
-    /// Updates the learning rate (e.g. for a decay schedule).
-    pub fn set_learning_rate(&mut self, learning_rate: f32) {
-        self.learning_rate = learning_rate;
-    }
-
     /// Applies one update step: `v = m*v + g; w -= lr * v`.
     ///
     /// # Panics
@@ -96,13 +85,6 @@ mod tests {
             opt.step(&mut params, &[grad]);
         }
         assert!((params[0] - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn learning_rate_can_be_adjusted() {
-        let mut opt = SgdOptimizer::new(0.1, 0.0, 1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]

@@ -9,12 +9,9 @@
 //! supported. Every bound ([`MAX_BODY_BYTES`], [`MAX_HEADER_BYTES`],
 //! [`MAX_HEADERS`]) is enforced *during* accumulation, so a hostile client
 //! cannot grow buffers past them no matter how it fragments its bytes.
-//!
-//! [`read_request`]/[`write_response`] remain as blocking conveniences for
-//! tests and simple clients; the server itself never blocks on a socket.
+//! Responses are rendered by [`append_response`] straight into the
+//! connection's write buffer; nothing here touches a socket.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Upper bound on an accepted request body (16 MiB — far above any event
@@ -36,9 +33,6 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// requests before it is closed (configurable per server).
 pub const KEEPALIVE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How long a blocked response write may stall in the blocking helpers.
-pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -56,32 +50,6 @@ pub struct Request {
     /// The client's `X-Request-Id` header, if it sent one (echoed on the
     /// response; the server generates one otherwise).
     pub request_id: Option<String>,
-}
-
-/// Why a request could not be parsed.
-#[derive(Debug)]
-pub enum HttpError {
-    /// Socket-level failure (including read timeout).
-    Io(std::io::Error),
-    /// The bytes did not form a valid request.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for HttpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::Malformed(m) => write!(f, "malformed request: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for HttpError {}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
 }
 
 /// The parsed request line + headers, held while the body accumulates.
@@ -336,78 +304,23 @@ pub fn append_response(
     out.extend_from_slice(body.as_bytes());
 }
 
-/// Blocking convenience: reads one complete request from `stream` (with
-/// [`READ_TIMEOUT`]) through a [`RequestParser`].
-///
-/// # Errors
-///
-/// Returns [`HttpError::Io`] on socket failures or timeout and
-/// [`HttpError::Malformed`] when the bytes are not a valid request (e.g. a
-/// body larger than [`MAX_BODY_BYTES`]).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(request) = parser.try_take().map_err(HttpError::Malformed)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(HttpError::Malformed(if parser.mid_request() {
-                "truncated request"
-            } else {
-                "empty request"
-            }));
-        }
-        parser.feed(&chunk[..n]);
-    }
-}
-
-/// Blocking convenience: writes one `Connection: close` JSON response and
-/// flushes it (with [`WRITE_TIMEOUT`]).
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    stream.write_all(format_response(status, body, false, None, &[]).as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &str) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_owned();
-        let writer = std::thread::spawn(move || {
-            let client = TcpStream::connect(addr).unwrap();
-            let mut client = client;
-            client.write_all(raw.as_bytes()).unwrap();
-            client.flush().unwrap();
-            // Signal EOF so a parser waiting for more bytes returns instead
-            // of riding out the read timeout; keep the socket itself open
-            // until the parser is done with it.
-            client.shutdown(std::net::Shutdown::Write).unwrap();
-            client
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        let request = read_request(&mut server_side);
-        let _ = writer.join().unwrap();
-        request
+    /// Feeds `raw` to a fresh parser in one piece and takes the request.
+    fn parse(raw: &str) -> Result<Option<Request>, &'static str> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        parser.try_take()
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let request = round_trip(
-            "POST /v1/infer HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\n{\"a\": 1}\n",
-        )
-        .unwrap();
+        let request =
+            parse("POST /v1/infer HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\n{\"a\": 1}\n")
+                .unwrap()
+                .unwrap();
         assert_eq!(request.method, "POST");
         assert_eq!(request.path, "/v1/infer");
         assert_eq!(request.body, "{\"a\": 1}\n");
@@ -417,7 +330,7 @@ mod tests {
 
     #[test]
     fn parses_a_bodyless_get() {
-        let request = round_trip("GET /v1/stats HTTP/1.1\r\n\r\n").unwrap();
+        let request = parse("GET /v1/stats HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert_eq!(request.method, "GET");
         assert_eq!(request.path, "/v1/stats");
         assert!(request.body.is_empty());
@@ -425,41 +338,36 @@ mod tests {
 
     #[test]
     fn connection_and_request_id_headers_are_decoded() {
-        let request = round_trip(
+        let request = parse(
             "POST / HTTP/1.1\r\nConnection: close\r\nX-Request-Id: abc-123\r\nContent-Length: 0\r\n\r\n",
         )
+        .unwrap()
         .unwrap();
         assert!(!request.keep_alive);
         assert_eq!(request.request_id.as_deref(), Some("abc-123"));
-        let old = round_trip("GET / HTTP/1.0\r\n\r\n").unwrap();
+        let old = parse("GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(!old.keep_alive, "HTTP/1.0 defaults to close");
-        let old_ka = round_trip("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let old_ka = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert!(old_ka.keep_alive);
     }
 
     #[test]
     fn rejects_malformed_requests() {
-        assert!(matches!(
-            round_trip("NOT-HTTP\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            round_trip("POST / HTTP/2\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            round_trip("POST / HTTP/1.1\r\nContent-Length: zzz\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            round_trip(&format!(
-                "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                MAX_BODY_BYTES + 1
-            )),
-            Err(HttpError::Malformed(_))
-        ));
-        let err = round_trip("").unwrap_err();
-        assert!(!err.to_string().is_empty());
+        assert!(parse("NOT-HTTP\r\n\r\n").is_err());
+        assert!(parse("POST / HTTP/2\r\n\r\n").is_err());
+        assert!(parse("POST / HTTP/1.1\r\nContent-Length: zzz\r\n\r\n").is_err());
+        assert!(parse(&format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        ))
+        .is_err());
+        assert!(parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").is_err());
+        // A blank line with no request line is an empty request; no bytes at
+        // all is an idle connection, not an error.
+        assert_eq!(parse("\r\n"), Err("empty request"));
+        assert_eq!(parse(""), Ok(None));
     }
 
     #[test]
@@ -518,21 +426,22 @@ mod tests {
 
     #[test]
     fn response_writer_emits_valid_http() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut client = TcpStream::connect(addr).unwrap();
-            let mut raw = String::new();
-            client.read_to_string(&mut raw).unwrap();
-            raw
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        write_response(&mut server_side, 404, "{\"error\":\"nope\"}").unwrap();
-        drop(server_side);
-        let raw = reader.join().unwrap();
-        assert!(raw.starts_with("HTTP/1.1 404 Not Found\r\n"));
-        assert!(raw.contains("Content-Length: 16\r\n"));
-        assert!(raw.ends_with("{\"error\":\"nope\"}"));
+        // The reactor appends responses back to back onto one write buffer;
+        // each must be a whole message that its Content-Length frames.
+        let mut out = Vec::new();
+        append_response(&mut out, 404, "{\"error\":\"nope\"}", true, None, &[]);
+        let first_len = out.len();
+        append_response(&mut out, 200, "{}", false, Some("r-2"), &[]);
+        let raw = String::from_utf8(out).unwrap();
+        let (first, second) = raw.split_at(first_len);
+        assert!(first.starts_with("HTTP/1.1 404 Not Found\r\n"));
+        assert!(first.contains("Content-Length: 16\r\n"));
+        assert!(first.ends_with("\r\n\r\n{\"error\":\"nope\"}"));
+        assert_eq!(
+            second,
+            format_response(200, "{}", false, Some("r-2"), &[]),
+            "appending does not depend on what the buffer already holds"
+        );
     }
 
     #[test]

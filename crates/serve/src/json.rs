@@ -122,15 +122,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is an array.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Json]> {
@@ -548,7 +539,6 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("3".into()).as_u64(), None);
         assert_eq!(Json::from(7usize).as_u64(), Some(7));
-        assert_eq!(Json::from(true).as_bool(), Some(true));
         assert_eq!(Json::from("s").as_str(), Some("s"));
     }
 }

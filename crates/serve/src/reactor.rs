@@ -39,16 +39,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Self = Self {
-        readable: false,
-        writable: true,
-    };
-    /// Both directions.
-    pub const BOTH: Self = Self {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness report from [`Poller::wait`].
@@ -517,12 +507,6 @@ impl TimerWheel {
         }
     }
 
-    /// Number of armed (possibly stale) entries.
-    #[must_use]
-    pub fn armed(&self) -> usize {
-        self.armed
-    }
-
     /// Arms a deadline for `token` at generation `gen`.
     pub fn schedule(&mut self, token: usize, gen: u64, deadline: Instant) {
         let entry = TimerEntry {
@@ -613,7 +597,11 @@ mod tests {
         let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
         let mut poller = Poller::new().unwrap();
-        poller.register(a.as_raw_fd(), 1, Interest::WRITE).unwrap();
+        let write_only = Interest {
+            readable: false,
+            writable: true,
+        };
+        poller.register(a.as_raw_fd(), 1, write_only).unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_millis(1000)))
@@ -654,7 +642,7 @@ mod tests {
         let mut wheel = TimerWheel::new(Duration::from_millis(10), Duration::from_secs(1));
         wheel.schedule(1, 0, start + Duration::from_millis(25));
         wheel.schedule(2, 3, start + Duration::from_millis(5));
-        assert_eq!(wheel.armed(), 2);
+        assert_eq!(wheel.armed, 2);
         let mut expired = Vec::new();
         wheel.advance(start + Duration::from_millis(12), &mut expired);
         assert_eq!(expired.len(), 1);
@@ -663,7 +651,7 @@ mod tests {
         wheel.advance(start + Duration::from_millis(40), &mut expired);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].token, 1);
-        assert_eq!(wheel.armed(), 0);
+        assert_eq!(wheel.armed, 0);
         assert!(wheel.next_timeout(start).is_none());
     }
 
@@ -676,7 +664,7 @@ mod tests {
         let mut expired = Vec::new();
         wheel.advance(start + Duration::from_millis(100), &mut expired);
         assert!(expired.is_empty(), "deadline not reached yet");
-        assert_eq!(wheel.armed(), 1, "overflowed entry re-parked");
+        assert_eq!(wheel.armed, 1, "overflowed entry re-parked");
         wheel.advance(start + Duration::from_millis(230), &mut expired);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].token, 9);

@@ -288,9 +288,9 @@ impl SessionTable {
     /// # Errors
     ///
     /// A failed park settles the push as not applied and is counted: a
-    /// session this checkout created is forgotten, and an existing one
-    /// moves to the cold tier at its previous snapshot, which the store
-    /// leaves intact.
+    /// session this checkout created is forgotten (its journaled park
+    /// intent retracted), and an existing one moves to the cold tier at its
+    /// previous snapshot, which the store leaves intact.
     pub(crate) fn park(
         &self,
         checkout: Checkout,
@@ -299,7 +299,17 @@ impl SessionTable {
     ) -> std::io::Result<()> {
         if let Some(durable) = &self.durable {
             let bytes = self.models[checkout.model].1.snapshot_client(&client);
-            let parked = lock_clean(&durable.store).park(&checkout.id, &bytes);
+            let parked = {
+                let mut store = lock_clean(&durable.store);
+                let parked = store.park(&checkout.id, &bytes);
+                if parked.is_err() && checkout.created {
+                    // No earlier snapshot to fall back to: drop the id, or
+                    // the next boot's recovery scan counts the `park`
+                    // intent the store journaled as a lost session.
+                    let _ = store.remove(&checkout.id);
+                }
+                parked
+            };
             if let Err(error) = parked {
                 durable.park_failures.fetch_add(1, Ordering::Relaxed);
                 let mut tiers = lock_clean(&self.tiers);
@@ -754,6 +764,28 @@ mod tests {
         push(&table, "old", None);
         let (_, client) = table.close("old").unwrap();
         assert_eq!(client.chunks_pushed(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_first_park_leaves_no_lost_session_for_the_next_boot() {
+        let dir = store_dir("first-park");
+        let first = table(4, Some(&dir));
+        push(&first, "old", Some("a"));
+        let blocker = store_file(&dir, "new", "tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let (checkout, mut client) = first.checkout("new", Some("a"), None).unwrap();
+        advance(&first, 0, &mut client);
+        assert!(first.park(checkout, client, 0).is_err());
+        drop(first);
+        std::fs::remove_dir(&blocker).unwrap();
+
+        // `new` was never acknowledged, so the next boot finds `old` and
+        // counts nothing lost.
+        let second = table(4, Some(&dir));
+        let stats = durability(&second);
+        assert_eq!((stats.recovered_on_boot, stats.corrupt_discarded), (1, 0));
+        assert_eq!(second.stats().cold, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

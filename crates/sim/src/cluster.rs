@@ -13,11 +13,11 @@
 //! membrane bound and the activity counters, and every state-touching
 //! method takes its membrane span as an explicit `mem` slice — the
 //! cluster's segment of the arena (possibly extended to the arena's end;
-//! only the first [`Cluster::neurons`] lanes are this cluster's).
+//! only the first `neurons` lanes are this cluster's).
 
 use serde::{Deserialize, Serialize};
 
-use crate::mapping::{Contribution, LifHardwareParams};
+use crate::mapping::LifHardwareParams;
 use crate::simd::Kernel;
 
 /// Per-cluster activity counters.
@@ -149,12 +149,6 @@ impl Cluster {
         (fire_epoch - self.fires_seen) as u32
     }
 
-    /// Number of TDM neurons.
-    #[must_use]
-    pub fn neurons(&self) -> usize {
-        self.neurons
-    }
-
     /// Activity counters.
     #[must_use]
     pub fn counters(&self) -> ClusterCounters {
@@ -177,17 +171,6 @@ impl Cluster {
     pub fn note_skipped_scan(&mut self) {
         self.pending_leak_steps += 1;
         self.counters.skipped_scans += 1;
-    }
-
-    /// The TLU skip bookkeeping of `n` consecutive `FIRE_OP`s at once —
-    /// bit-identical to calling [`Cluster::note_skipped_scan`] `n` times.
-    /// Backs the worker's all-fire-tail fast-forward: once no update can
-    /// arrive anymore, a clean cluster's remaining scans are all skips, and
-    /// skips only increment these two counters.
-    #[inline]
-    pub fn note_skipped_scans(&mut self, n: u32) {
-        self.pending_leak_steps += n;
-        self.counters.skipped_scans += u64::from(n);
     }
 
     /// This cluster's own membrane span of a (possibly extended) `mem`
@@ -311,50 +294,6 @@ impl Cluster {
         self.counters.synaptic_ops += 1;
     }
 
-    /// Accumulates a batch of contributions addressed to this cluster in one
-    /// event window: the TLU catch-up runs **once**, then the accumulation is
-    /// a tight loop over the contributions — the contribution-list form of
-    /// the window triple (`open_window` / a
-    /// [`Kernel::accumulate_span`] call / `close_window`) the
-    /// fused plan datapath uses, kept public as the batching API for callers
-    /// that hold materialized contribution lists (and pinned against both
-    /// other forms by the equivalence tests). `cluster_base` is the global
-    /// index of this cluster's first neuron.
-    ///
-    /// Functionally identical to calling [`Cluster::integrate`] per entry:
-    /// within one event window each neuron receives at most one contribution,
-    /// so the saturating accumulation order cannot differ, and `catch_up`
-    /// zeroes the pending leak on its first call anyway.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a contribution addresses a neuron outside this cluster.
-    pub fn integrate_all(
-        &mut self,
-        mem: &mut [i16],
-        cluster_base: usize,
-        contributions: &[Contribution],
-        params: LifHardwareParams,
-    ) {
-        if contributions.is_empty() {
-            return;
-        }
-        self.catch_up(mem, params, Kernel::Scalar);
-        let span = self.span(mem);
-        let mut bound = self.max_bound;
-        for c in contributions {
-            let index = c.neuron - cluster_base;
-            // i16 arithmetic cannot overflow here: |state| <= 128, |w| <= 127.
-            let state =
-                (span[index] + i16::from(c.weight)).clamp(i16::from(i8::MIN), i16::from(i8::MAX));
-            span[index] = state;
-            bound = bound.max(state);
-        }
-        self.max_bound = bound;
-        self.dirty = true;
-        self.counters.synaptic_ops += contributions.len() as u64;
-    }
-
     /// Opens an event window on this cluster for the fused datapath:
     /// materializes any owed leak exactly like the first
     /// [`Cluster::integrate`] of the window would. Idempotent within a
@@ -393,7 +332,7 @@ impl Cluster {
     /// the allocation-free [`Cluster::fire_scan_into`], which the engine's
     /// hot path uses exclusively.
     #[cfg(test)]
-    pub fn fire_scan(
+    fn fire_scan(
         &mut self,
         mem: &mut [i16],
         params: LifHardwareParams,
@@ -693,47 +632,18 @@ mod tests {
 
     #[test]
     fn batched_window_matches_per_tap_integrates() {
-        let contributions = [
-            Contribution {
-                neuron: 130,
-                weight: 5,
-            },
-            Contribution {
-                neuron: 131,
-                weight: -3,
-            },
-            Contribution {
-                neuron: 133,
-                weight: 7,
-            },
-        ];
-        let mut batched = Bench::new(8);
+        let mut windowed = Bench::new(8);
         let mut single = Bench::new(8);
         // Give both some deferred leak so the window's one-shot catch-up is
         // exercised against per-tap catch-ups.
-        for c in [&mut batched, &mut single] {
+        for c in [&mut windowed, &mut single] {
             c.integrate(2, 9, PARAMS);
             let _ = c.fire_scan_into(PARAMS, true, &mut Vec::new());
             let _ = c.fire_scan_into(PARAMS, true, &mut Vec::new());
         }
-        batched
-            .cluster
-            .integrate_all(&mut batched.mem, 128, &contributions, PARAMS);
-        for c in &contributions {
-            single.integrate(c.neuron - 128, c.weight, PARAMS);
+        for (neuron, weight) in [(2, 5), (3, -3), (5, 7)] {
+            single.integrate(neuron, weight, PARAMS);
         }
-        for i in 0..8 {
-            assert_eq!(batched.state(i), single.state(i), "neuron {i}");
-        }
-        assert_eq!(
-            batched.counters().synaptic_ops,
-            single.counters().synaptic_ops
-        );
-        // The span window triple is a third equivalent formulation.
-        let mut windowed = Bench::new(8);
-        windowed.integrate(2, 9, PARAMS);
-        let _ = windowed.fire_scan_into(PARAMS, true, &mut Vec::new());
-        let _ = windowed.fire_scan_into(PARAMS, true, &mut Vec::new());
         windowed
             .cluster
             .open_window(&mut windowed.mem, PARAMS, Kernel::Scalar);

@@ -15,7 +15,6 @@ pub struct Collector {
     num_ports: usize,
     next_port: usize,
     merged_events: u64,
-    arbitration_cycles: u64,
 }
 
 impl Collector {
@@ -26,22 +25,13 @@ impl Collector {
             num_ports,
             next_port: 0,
             merged_events: 0,
-            arbitration_cycles: 0,
         }
     }
 
-    /// Number of input ports.
-    #[must_use]
-    pub fn num_ports(&self) -> usize {
-        self.num_ports
-    }
-
-    /// Merges per-port event queues into one stream.
-    ///
-    /// Arbitration is round-robin starting from the port after the last one
-    /// served; each granted event costs one arbitration cycle. The input
-    /// queues are drained.
-    pub fn merge(&mut self, queues: &mut [Vec<Event>]) -> Vec<Event> {
+    /// Merges per-port event queues into one stream, draining them (the
+    /// owning form of [`Collector::merge_slices`] the unit tests use).
+    #[cfg(test)]
+    fn merge(&mut self, queues: &mut [Vec<Event>]) -> Vec<Event> {
         let views: Vec<&[Event]> = queues.iter().map(Vec::as_slice).collect();
         let total: usize = views.iter().map(|q| q.len()).sum();
         let mut merged = Vec::with_capacity(total);
@@ -56,11 +46,11 @@ impl Collector {
     /// Merges borrowed per-port event queues, appending the arbitrated stream
     /// to `out` and returning how many events were granted.
     ///
-    /// This is the allocation-free variant [`crate::Engine`] uses on its hot
-    /// path: the queues are per-slice windows into reusable buffers, and
-    /// `out` is the run's output accumulator. The arbitration (round-robin
-    /// from the port after the last one served, one cycle per grant) and the
-    /// counters are identical to [`Collector::merge`].
+    /// The queues are per-slice windows into reusable buffers, and `out` is
+    /// the run's output accumulator. Arbitration is round-robin starting
+    /// from the port after the last one served; each granted event costs one
+    /// arbitration cycle, so [`Collector::merged_events`] is also the
+    /// arbitration cycle count.
     ///
     /// # Panics
     ///
@@ -93,7 +83,6 @@ impl Collector {
                     granted_total += 1;
                     self.next_port = (port + 1) % self.num_ports;
                     self.merged_events += 1;
-                    self.arbitration_cycles += 1;
                     granted = true;
                     break;
                 }
@@ -111,16 +100,9 @@ impl Collector {
         self.merged_events
     }
 
-    /// Total arbitration cycles spent.
-    #[must_use]
-    pub fn arbitration_cycles(&self) -> u64 {
-        self.arbitration_cycles
-    }
-
     /// Clears the counters.
     pub fn reset_counters(&mut self) {
         self.merged_events = 0;
-        self.arbitration_cycles = 0;
         self.next_port = 0;
     }
 }
@@ -141,7 +123,6 @@ mod tests {
         assert_eq!(merged.len(), 3);
         assert!(queues.iter().all(Vec::is_empty));
         assert_eq!(collector.merged_events(), 3);
-        assert_eq!(collector.arbitration_cycles(), 3);
     }
 
     #[test]
@@ -191,7 +172,6 @@ mod tests {
         assert_eq!(granted, 3);
         assert_eq!(&out[1..], expected.as_slice());
         assert_eq!(borrowed.merged_events(), draining.merged_events());
-        assert_eq!(borrowed.arbitration_cycles(), draining.arbitration_cycles());
         // The round-robin pointer advanced identically: a second merge of the
         // same queues interleaves the same way on both collectors.
         let mut out2 = Vec::new();
@@ -206,7 +186,5 @@ mod tests {
         let _ = collector.merge(&mut queues);
         collector.reset_counters();
         assert_eq!(collector.merged_events(), 0);
-        assert_eq!(collector.arbitration_cycles(), 0);
-        assert_eq!(collector.num_ports(), 1);
     }
 }

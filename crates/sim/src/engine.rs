@@ -1,10 +1,12 @@
 //! The top-level SNE engine.
 //!
-//! The engine owns the slices, the crossbar, the streamers, the collector and
-//! the register file, and executes one mapped layer at a time over an input
-//! event stream (the time-multiplexed operating mode of paper §III-D.5; the
-//! layer-per-slice pipelined mode is built on top of this in the `sne` crate
-//! by chaining layer runs through memory).
+//! The engine owns the slices, the crossbar, the streamers and the collector,
+//! and executes one mapped layer at a time over an input event stream (the
+//! time-multiplexed operating mode of paper §III-D.5; the layer-per-slice
+//! pipelined mode is built on top of this in the `sne` crate by chaining layer
+//! runs through memory). The paper's register interface, sequencer and
+//! operation decoder are not modelled as components: they reach the results
+//! only through the per-op cycle costs below.
 //!
 //! Timing model (cycle-approximate, calibrated on the paper's figures):
 //!
@@ -27,7 +29,6 @@ use crate::exec::ExecStrategy;
 use crate::mapping::LayerMapping;
 use crate::memory::MemoryModel;
 use crate::plan::{EventRow, LayerPlan, StencilTable};
-use crate::regfile::{Register, RegisterFile};
 use crate::simd::Kernel;
 use crate::slice::Slice;
 use crate::state::LayerState;
@@ -56,7 +57,6 @@ pub struct LayerRunOutput {
 #[derive(Debug)]
 pub struct Engine {
     config: SneConfig,
-    regfile: RegisterFile,
     xbar: CrossBar,
     collector: Collector,
     slices: Vec<Slice>,
@@ -117,7 +117,6 @@ impl Engine {
             .map(|_| Slice::new(&config))
             .collect();
         Self {
-            regfile: RegisterFile::new(),
             xbar: CrossBar::new(config.num_slices, config.broadcast),
             collector: Collector::new(config.num_slices),
             slices,
@@ -161,12 +160,6 @@ impl Engine {
     #[must_use]
     pub fn exec(&self) -> ExecStrategy {
         self.exec
-    }
-
-    /// The configuration register file (for host-style programming).
-    #[must_use]
-    pub fn regfile_mut(&mut self) -> &mut RegisterFile {
-        &mut self.regfile
     }
 
     /// Enables execution tracing with the given record capacity.
@@ -333,7 +326,6 @@ impl Engine {
         for event in input.iter().filter(|e| e.is_spike()) {
             mapping.validate_event(event)?;
         }
-        self.program_registers(mapping, input)?;
         self.xbar.reset_counters();
         self.collector.reset_counters();
 
@@ -628,50 +620,18 @@ impl Engine {
         }
     }
 
-    fn program_registers(
-        &mut self,
-        mapping: &LayerMapping,
-        input: &EventStream,
-    ) -> Result<(), SimError> {
-        let params = mapping.params();
-        let in_shape = mapping.input_shape();
-        let kernel = match mapping {
-            LayerMapping::Conv { kernel, .. } => u32::from(*kernel),
-            LayerMapping::Dense { .. } => 0,
-        };
-        let features = u32::from(self.config.tlu_enabled)
-            | (u32::from(self.config.clock_gating) << 1)
-            | (u32::from(self.config.broadcast) << 2);
-        self.regfile.set(Register::Control, 1)?;
-        self.regfile.set(Register::Leak, params.leak as u32)?;
-        self.regfile
-            .set(Register::Threshold, params.threshold as u32)?;
-        self.regfile
-            .set(Register::ActiveSlices, self.config.num_slices as u32)?;
-        self.regfile
-            .set(Register::LayerWidth, u32::from(in_shape.width))?;
-        self.regfile
-            .set(Register::LayerHeight, u32::from(in_shape.height))?;
-        self.regfile
-            .set(Register::LayerChannels, u32::from(in_shape.channels))?;
-        self.regfile.set(Register::KernelSize, kernel)?;
-        self.regfile.set(Register::Features, features)?;
-        self.regfile.set(Register::EventBase, input.len() as u32)?;
-        Ok(())
-    }
-
     /// Streams the operation sequence through the input DMA model, returning
     /// `(words_read, stall_cycles)`.
     fn model_input_dma(&mut self, ops: &[Event]) -> (u64, u64) {
         match self.format.pack_all(ops) {
             Ok(words) => {
                 self.memory.load_events(words);
-                let mut streamer = Streamer::new(
+                let streamer = Streamer::new(
                     self.format,
                     self.config.streamer_fifo_depth,
                     self.config.cycles_per_event,
                 );
-                match streamer.stream_in(&mut self.memory, self.config.num_streamers as u32) {
+                match streamer.stream_in(&self.memory, self.config.num_streamers as u32) {
                     Ok(result) => (result.words_read, result.stall_cycles),
                     Err(_) => (ops.len() as u64, 0),
                 }
@@ -684,7 +644,7 @@ impl Engine {
     /// returning `(words_written, stall_cycles)`.
     fn model_output_dma(&mut self, events: &[Event]) -> (u64, u64) {
         let mut memory = MemoryModel::new(self.config.memory_latency, 2);
-        let mut streamer = Streamer::new(
+        let streamer = Streamer::new(
             self.format,
             self.config.streamer_fifo_depth,
             self.config.cycles_per_event,
@@ -850,17 +810,6 @@ mod tests {
             engine.run_layer(&mapping, &stream),
             Err(SimError::EventOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn registers_reflect_the_programmed_layer() {
-        let mut engine = Engine::new(small_config());
-        let mapping = conv_mapping(5);
-        let _ = engine.run_layer(&mapping, &single_spike_stream()).unwrap();
-        assert_eq!(engine.regfile_mut().get(Register::Threshold).unwrap(), 5);
-        assert_eq!(engine.regfile_mut().get(Register::KernelSize).unwrap(), 3);
-        assert_eq!(engine.regfile_mut().get(Register::LayerWidth).unwrap(), 4);
-        assert_eq!(engine.regfile_mut().get(Register::ActiveSlices).unwrap(), 2);
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub enum SimError {
         /// Description of the expected geometry.
         expected: String,
     },
-    /// A register access used an unknown address.
-    UnknownRegister(u32),
     /// The input event stream is not a valid SNE operation sequence.
     MalformedOpSequence(String),
 }
@@ -53,7 +51,6 @@ impl fmt::Display for SimError {
             Self::EventOutOfRange { event, expected } => {
                 write!(f, "event {event} outside mapped layer geometry ({expected})")
             }
-            Self::UnknownRegister(addr) => write!(f, "unknown register address {addr:#x}"),
             Self::MalformedOpSequence(reason) => write!(f, "malformed operation sequence: {reason}"),
         }
     }
@@ -84,7 +81,6 @@ mod tests {
                 event: "(1,2)".into(),
                 expected: "32x32".into(),
             },
-            SimError::UnknownRegister(0x40),
             SimError::MalformedOpSequence("missing reset".into()),
         ];
         for e in errors {

@@ -7,9 +7,10 @@
 //!   neurons, 8-bit saturating state, double-buffered state memory (one
 //!   update per cycle), per-cluster time-of-last-update (TLU) register,
 //!   clock gating of idle units, output FIFO.
-//! * [`slice::Slice`] — 16 clusters, the sequencer producing TDM addresses,
-//!   the operation decoder, the address filter/shift that maps input events
-//!   onto receptive fields, and the per-slice weight buffer.
+//! * [`slice::Slice`] — 16 clusters, the address filter/shift that maps input
+//!   events onto receptive fields, and the per-slice weight buffer. The
+//!   paper's TDM sequencer and operation decoder are not separate components:
+//!   they reach the results only through the per-op cycle costs below.
 //! * [`xbar::CrossBar`] — the synaptic crossbar routing event/weight streams
 //!   between streamers, slices and the collector (point-to-point and
 //!   broadcast modes).
@@ -17,7 +18,6 @@
 //!   latency/contention [`memory::MemoryModel`].
 //! * [`collector::Collector`] — arbitration of sparse slice outputs into a
 //!   single stream.
-//! * [`regfile::RegisterFile`] — the APB-style configuration interface.
 //! * [`engine::Engine`] — the top level: maps eCNN layers onto slices
 //!   ([`mapping::LayerMapping`]), runs the event stream and accounts cycles,
 //!   synaptic operations and per-component activity ([`stats::CycleStats`]).
@@ -96,14 +96,11 @@
 pub mod cluster;
 pub mod collector;
 pub mod config;
-pub mod decoder;
 pub mod engine;
 pub mod exec;
 pub mod mapping;
 pub mod memory;
 pub mod plan;
-pub mod regfile;
-pub mod sequencer;
 pub mod simd;
 pub mod slice;
 pub mod state;

@@ -16,8 +16,6 @@ pub struct MemoryModel {
     latency: u32,
     contention_penalty: u32,
     events: Vec<PackedEvent>,
-    reads: u64,
-    writes: u64,
 }
 
 impl MemoryModel {
@@ -29,15 +27,7 @@ impl MemoryModel {
             latency,
             contention_penalty,
             events: Vec::new(),
-            reads: 0,
-            writes: 0,
         }
-    }
-
-    /// Access latency in cycles for a single requestor.
-    #[must_use]
-    pub fn latency(&self) -> u32 {
-        self.latency
     }
 
     /// Loads a packed event buffer into memory (replacing the current one).
@@ -54,8 +44,7 @@ impl MemoryModel {
     /// Reads the word at `index`, returning the word and the cycles the read
     /// took given `concurrent_requestors` competing for the port.
     #[must_use]
-    pub fn read(&mut self, index: usize, concurrent_requestors: u32) -> (Option<PackedEvent>, u32) {
-        self.reads += 1;
+    pub fn read(&self, index: usize, concurrent_requestors: u32) -> (Option<PackedEvent>, u32) {
         let extra = concurrent_requestors.saturating_sub(1) * self.contention_penalty;
         (self.events.get(index).copied(), self.latency + extra)
     }
@@ -64,22 +53,9 @@ impl MemoryModel {
     /// returning the cycles the write took.
     #[must_use]
     pub fn write(&mut self, word: PackedEvent, concurrent_requestors: u32) -> u32 {
-        self.writes += 1;
         self.events.push(word);
         let extra = concurrent_requestors.saturating_sub(1) * self.contention_penalty;
         self.latency + extra
-    }
-
-    /// Total reads performed.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -105,12 +81,11 @@ mod tests {
         assert_eq!(word, Some(PackedEvent(2)));
         let (missing, _) = mem.read(2, 1);
         assert_eq!(missing, None);
-        assert_eq!(mem.reads(), 3);
     }
 
     #[test]
     fn contention_adds_latency() {
-        let mut mem = MemoryModel::new(4, 2);
+        let mem = MemoryModel::new(4, 2);
         let (_, single) = mem.read(0, 1);
         let (_, double) = mem.read(0, 2);
         assert_eq!(single, 4);
@@ -123,11 +98,11 @@ mod tests {
         let cycles = mem.write(PackedEvent(7), 1);
         assert_eq!(cycles, 2);
         assert_eq!(mem.event_count(), 1);
-        assert_eq!(mem.writes(), 1);
     }
 
     #[test]
     fn default_latency_matches_config_default() {
-        assert_eq!(MemoryModel::default().latency(), 4);
+        let (_, cycles) = MemoryModel::default().read(0, 1);
+        assert_eq!(cycles, crate::SneConfig::default().memory_latency);
     }
 }

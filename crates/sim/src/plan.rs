@@ -47,8 +47,8 @@ use crate::mapping::{Contribution, LayerMapping, MapShape};
 use crate::simd::BLOCK_LANES;
 
 /// The resolved view of one event against the plan: everything the fused
-/// slice datapath ([`crate::slice::Slice::process_update_planned`]) needs to
-/// integrate the event's contributions in place, and what
+/// slice datapath ([`crate::slice::Slice::process_update_block_planned`])
+/// needs to integrate the event's contributions in place, and what
 /// [`LayerPlan::contributions_in_range_into`] itself walks to materialize
 /// them.
 ///

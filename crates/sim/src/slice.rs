@@ -1,4 +1,4 @@
-//! The Slice: 16 clusters orchestrated by a sequencer.
+//! The Slice: 16 clusters stepped in lockstep over TDM neuron addresses.
 //!
 //! A slice receives the input event stream (all clusters see the same event,
 //! paper §III-D.4), filters it against the addresses of the neurons it
@@ -282,7 +282,7 @@ impl Slice {
     ///
     /// This is the **naive reference datapath** — the per-synapse dispatch
     /// the compiled plan's batched window form
-    /// ([`Slice::process_update_planned`]) is measured against and must
+    /// ([`Slice::process_update_block_planned`]) is measured against and must
     /// reproduce bit-exactly. It is always scalar (the kernel choice only
     /// affects the planned spans and the fire scans).
     pub fn process_update(
@@ -650,10 +650,10 @@ impl Slice {
         aggregate
     }
 
-    /// Single-event convenience form of
-    /// [`Slice::process_update_block_planned`] (the engine's worker uses the
-    /// block form; this one backs tests and microbenchmarks).
-    pub fn process_update_planned(
+    /// Single-event form of [`Slice::process_update_block_planned`] (the
+    /// engine's worker uses the block form; this one backs the unit tests).
+    #[cfg(test)]
+    fn process_update_planned(
         &mut self,
         row: EventRow<'_>,
         params: LifHardwareParams,
@@ -678,7 +678,7 @@ impl Slice {
     /// the allocation-free [`Slice::process_fire_into`], which the engine's
     /// hot path uses exclusively.
     #[cfg(test)]
-    pub fn process_fire(&mut self, params: LifHardwareParams, tlu_enabled: bool) -> FireOutcome {
+    fn process_fire(&mut self, params: LifHardwareParams, tlu_enabled: bool) -> FireOutcome {
         let mut fired = Vec::new();
         let summary = self.process_fire_into(params, tlu_enabled, &mut fired);
         FireOutcome {

@@ -86,16 +86,6 @@ impl CycleStats {
         }
     }
 
-    /// Output activity: output events per input event.
-    #[must_use]
-    pub fn output_per_input(&self) -> f64 {
-        if self.input_events == 0 {
-            0.0
-        } else {
-            self.output_events as f64 / self.input_events as f64
-        }
-    }
-
     /// Merges another set of counters into this one.
     ///
     /// Every field is a plain sum, so `merge` is **associative and
@@ -137,7 +127,6 @@ mod tests {
         let s = CycleStats::new();
         assert_eq!(s.achieved_gsops(400.0), 0.0);
         assert_eq!(s.cluster_utilization(), 0.0);
-        assert_eq!(s.output_per_input(), 0.0);
         assert_eq!(s.duration_ns(400.0), 0.0);
     }
 

@@ -4,9 +4,8 @@
 //! memory and the SNE internal stream fabric (paper §III-D.2). Each streamer
 //! performs simple 1-D transfers, converts between the packed memory format
 //! and the internal event representation, and buffers words in a 16-entry
-//! FIFO that absorbs memory latency.
-
-use std::collections::VecDeque;
+//! FIFO that absorbs memory latency. The FIFO is modelled by its depth
+//! alone: it sets how much latency the streamer can hide.
 
 use sne_event::{Event, EventError, EventFormat, PackedEvent};
 
@@ -38,7 +37,6 @@ pub struct StreamOutResult {
 pub struct Streamer {
     format: EventFormat,
     fifo_depth: usize,
-    fifo: VecDeque<Event>,
     consume_interval: u32,
 }
 
@@ -53,21 +51,8 @@ impl Streamer {
         Self {
             format,
             fifo_depth,
-            fifo: VecDeque::with_capacity(fifo_depth),
             consume_interval,
         }
-    }
-
-    /// Depth of the internal FIFO in events.
-    #[must_use]
-    pub fn fifo_depth(&self) -> usize {
-        self.fifo_depth
-    }
-
-    /// Number of events currently buffered.
-    #[must_use]
-    pub fn fifo_occupancy(&self) -> usize {
-        self.fifo.len()
     }
 
     /// Streams the whole event buffer out of memory, decoding each word.
@@ -77,8 +62,8 @@ impl Streamer {
     /// Returns an [`EventError`] if a memory word cannot be decoded (unknown
     /// operation code).
     pub fn stream_in(
-        &mut self,
-        memory: &mut MemoryModel,
+        &self,
+        memory: &MemoryModel,
         concurrent_requestors: u32,
     ) -> Result<StreamInResult, EventError> {
         let mut events = Vec::with_capacity(memory.event_count());
@@ -98,11 +83,8 @@ impl Streamer {
                 credit = 0;
             }
             credit = credit.min(self.fifo_depth as i64 * i64::from(self.consume_interval));
-            let event = self.format.unpack(word)?;
-            self.push_fifo(event);
-            events.push(event);
+            events.push(self.format.unpack(word)?);
         }
-        self.fifo.clear();
         Ok(StreamInResult {
             events,
             words_read,
@@ -116,7 +98,7 @@ impl Streamer {
     ///
     /// Returns an [`EventError`] if an event does not fit the memory format.
     pub fn stream_out(
-        &mut self,
+        &self,
         events: &[Event],
         memory: &mut MemoryModel,
         concurrent_requestors: u32,
@@ -140,13 +122,6 @@ impl Streamer {
             stall_cycles,
         })
     }
-
-    fn push_fifo(&mut self, event: Event) {
-        if self.fifo.len() == self.fifo_depth {
-            self.fifo.pop_front();
-        }
-        self.fifo.push_back(event);
-    }
 }
 
 #[cfg(test)]
@@ -163,8 +138,8 @@ mod tests {
         let events = vec![Event::reset(0), Event::update(0, 1, 2, 3), Event::fire(0)];
         let mut memory = MemoryModel::new(2, 0);
         memory.load_events(packed(&events));
-        let mut streamer = Streamer::new(EventFormat::default(), 16, 48);
-        let result = streamer.stream_in(&mut memory, 1).unwrap();
+        let streamer = Streamer::new(EventFormat::default(), 16, 48);
+        let result = streamer.stream_in(&memory, 1).unwrap();
         assert_eq!(result.events, events);
         assert_eq!(result.words_read, 3);
         assert_eq!(result.stall_cycles, 0);
@@ -176,8 +151,8 @@ mod tests {
         let events: Vec<Event> = (0..100).map(|t| Event::update(t, 0, 1, 1)).collect();
         let mut memory = MemoryModel::new(40, 0);
         memory.load_events(packed(&events));
-        let mut streamer = Streamer::new(EventFormat::default(), 16, 48);
-        let result = streamer.stream_in(&mut memory, 1).unwrap();
+        let streamer = Streamer::new(EventFormat::default(), 16, 48);
+        let result = streamer.stream_in(&memory, 1).unwrap();
         assert_eq!(result.stall_cycles, 0);
     }
 
@@ -188,8 +163,8 @@ mod tests {
         let events: Vec<Event> = (0..200).map(|t| Event::update(t, 0, 1, 1)).collect();
         let mut memory = MemoryModel::new(60, 0);
         memory.load_events(packed(&events));
-        let mut streamer = Streamer::new(EventFormat::default(), 16, 48);
-        let result = streamer.stream_in(&mut memory, 1).unwrap();
+        let streamer = Streamer::new(EventFormat::default(), 16, 48);
+        let result = streamer.stream_in(&memory, 1).unwrap();
         assert!(result.stall_cycles > 0);
     }
 
@@ -199,8 +174,8 @@ mod tests {
         let run = |depth: usize| {
             let mut memory = MemoryModel::new(60, 0);
             memory.load_events(packed(&events));
-            let mut streamer = Streamer::new(EventFormat::default(), depth, 48);
-            streamer.stream_in(&mut memory, 1).unwrap().stall_cycles
+            let streamer = Streamer::new(EventFormat::default(), depth, 48);
+            streamer.stream_in(&memory, 1).unwrap().stall_cycles
         };
         assert!(run(4) >= run(16));
     }
@@ -209,13 +184,13 @@ mod tests {
     fn stream_out_writes_all_events() {
         let events = vec![Event::update(3, 0, 5, 6), Event::fire(3)];
         let mut memory = MemoryModel::new(2, 0);
-        let mut streamer = Streamer::new(EventFormat::default(), 16, 48);
+        let streamer = Streamer::new(EventFormat::default(), 16, 48);
         let result = streamer.stream_out(&events, &mut memory, 1).unwrap();
         assert_eq!(result.words_written, 2);
         assert_eq!(memory.event_count(), 2);
         // Round-trip back.
-        let mut reader = Streamer::new(EventFormat::default(), 16, 48);
-        let back = reader.stream_in(&mut memory, 1).unwrap();
+        let reader = Streamer::new(EventFormat::default(), 16, 48);
+        let back = reader.stream_in(&memory, 1).unwrap();
         assert_eq!(back.events, events);
     }
 
@@ -224,17 +199,7 @@ mod tests {
         // Timestamp 300 does not fit in the default 8-bit time field.
         let events = vec![Event::new(EventOp::Update, 300, 0, 0, 0)];
         let mut memory = MemoryModel::new(1, 0);
-        let mut streamer = Streamer::new(EventFormat::default(), 16, 48);
+        let streamer = Streamer::new(EventFormat::default(), 16, 48);
         assert!(streamer.stream_out(&events, &mut memory, 1).is_err());
-    }
-
-    #[test]
-    fn fifo_occupancy_is_bounded() {
-        let mut streamer = Streamer::new(EventFormat::default(), 4, 48);
-        for t in 0..10 {
-            streamer.push_fifo(Event::update(t, 0, 0, 0));
-        }
-        assert_eq!(streamer.fifo_occupancy(), 4);
-        assert_eq!(streamer.fifo_depth(), 4);
     }
 }

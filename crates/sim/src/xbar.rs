@@ -22,23 +22,12 @@ pub enum XbarPort {
     Collector,
 }
 
-/// Routing mode of a transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum XbarMode {
-    /// Single master to a single slave port.
-    PointToPoint,
-    /// Single master to every slice (flow-controlled broadcast).
-    Broadcast,
-}
-
-/// The crossbar: tracks routed transfers and their cycle cost.
+/// The crossbar: counts routed transfers and prices each in cycles.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrossBar {
     num_slices: usize,
     broadcast_enabled: bool,
     transfers: u64,
-    broadcast_transfers: u64,
-    cycles: u64,
 }
 
 impl CrossBar {
@@ -49,22 +38,13 @@ impl CrossBar {
             num_slices,
             broadcast_enabled,
             transfers: 0,
-            broadcast_transfers: 0,
-            cycles: 0,
         }
-    }
-
-    /// Number of slice ports.
-    #[must_use]
-    pub fn num_slices(&self) -> usize {
-        self.num_slices
     }
 
     /// Routes one point-to-point transfer and returns its cycle cost (one
     /// cycle per hop with the ready/valid handshake).
     pub fn route(&mut self, _from: XbarPort, _to: XbarPort) -> u64 {
         self.transfers += 1;
-        self.cycles += 1;
         1
     }
 
@@ -72,17 +52,13 @@ impl CrossBar {
     /// cost: a single flow-controlled cycle when broadcast is enabled, or one
     /// point-to-point transfer per slice when it is not (the ablation case).
     pub fn broadcast(&mut self, _from: XbarPort) -> u64 {
-        if self.broadcast_enabled {
-            self.transfers += 1;
-            self.broadcast_transfers += 1;
-            self.cycles += 1;
+        let cost = if self.broadcast_enabled {
             1
         } else {
-            let cost = self.num_slices as u64;
-            self.transfers += cost;
-            self.cycles += cost;
-            cost
-        }
+            self.num_slices as u64
+        };
+        self.transfers += cost;
+        cost
     }
 
     /// Total transfers routed (broadcasts count once when enabled).
@@ -91,23 +67,9 @@ impl CrossBar {
         self.transfers
     }
 
-    /// Broadcast transfers routed.
-    #[must_use]
-    pub fn broadcast_transfers(&self) -> u64 {
-        self.broadcast_transfers
-    }
-
-    /// Total cycles spent routing.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Clears the counters (start of a new measured run).
     pub fn reset_counters(&mut self) {
         self.transfers = 0;
-        self.broadcast_transfers = 0;
-        self.cycles = 0;
     }
 }
 
@@ -121,14 +83,13 @@ mod tests {
         let cost = xbar.route(XbarPort::StreamerIn, XbarPort::Slice(3));
         assert_eq!(cost, 1);
         assert_eq!(xbar.transfers(), 1);
-        assert_eq!(xbar.cycles(), 1);
     }
 
     #[test]
     fn broadcast_is_one_cycle_when_enabled() {
         let mut xbar = CrossBar::new(8, true);
         assert_eq!(xbar.broadcast(XbarPort::StreamerIn), 1);
-        assert_eq!(xbar.broadcast_transfers(), 1);
+        assert_eq!(xbar.transfers(), 1);
     }
 
     #[test]
@@ -136,7 +97,6 @@ mod tests {
         let mut xbar = CrossBar::new(8, false);
         assert_eq!(xbar.broadcast(XbarPort::StreamerIn), 8);
         assert_eq!(xbar.transfers(), 8);
-        assert_eq!(xbar.broadcast_transfers(), 0);
     }
 
     #[test]
@@ -146,8 +106,5 @@ mod tests {
         let _ = xbar.broadcast(XbarPort::StreamerIn);
         xbar.reset_counters();
         assert_eq!(xbar.transfers(), 0);
-        assert_eq!(xbar.cycles(), 0);
-        assert_eq!(xbar.broadcast_transfers(), 0);
-        assert_eq!(xbar.num_slices(), 4);
     }
 }

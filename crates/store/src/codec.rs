@@ -115,11 +115,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i8`.
-    pub fn i8(&mut self, v: i8) {
-        self.buf.push(v as u8);
-    }
-
     /// Appends a little-endian `i16`.
     pub fn i16(&mut self, v: i16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -253,15 +248,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Reads an `i8`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Truncated`] at end of input.
-    pub fn i8(&mut self) -> Result<i8, StoreError> {
-        Ok(self.u8()? as i8)
-    }
-
     /// Reads a little-endian `i16`.
     ///
     /// # Errors
@@ -349,7 +335,6 @@ mod tests {
         enc.u16(0xBEEF);
         enc.u32(0xDEAD_BEEF);
         enc.u64(u64::MAX - 1);
-        enc.i8(-5);
         enc.i16(-12345);
         enc.f32(1.5);
         enc.f64(-0.1);
@@ -362,7 +347,6 @@ mod tests {
         assert_eq!(dec.u16().unwrap(), 0xBEEF);
         assert_eq!(dec.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(dec.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(dec.i8().unwrap(), -5);
         assert_eq!(dec.i16().unwrap(), -12345);
         assert_eq!(dec.f32().unwrap(), 1.5);
         assert_eq!(dec.f64().unwrap().to_bits(), (-0.1f64).to_bits());

@@ -247,12 +247,6 @@ impl<'a> SnapshotView<'a> {
     pub fn require(&self, tag: u32) -> Result<&'a [u8], StoreError> {
         self.section(tag).ok_or(StoreError::MissingSection(tag))
     }
-
-    /// All sections in payload order (for diagnostics).
-    #[must_use]
-    pub fn sections(&self) -> &[(u32, &'a [u8])] {
-        &self.sections
-    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::codec::fnv1a;
 
@@ -103,12 +103,6 @@ impl SessionStore {
             journal,
             fsync,
         })
-    }
-
-    /// The store directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The configured fsync policy.
@@ -202,22 +196,6 @@ impl SessionStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    /// Number of `.snap` files currently in the store (diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read failures.
-    pub fn snapshot_count(&self) -> std::io::Result<usize> {
-        let mut count = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|e| e == "snap") {
-                count += 1;
-            }
-        }
-        Ok(count)
     }
 
     /// The boot-time crash-recovery scan.
