@@ -40,6 +40,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use sne_event::EventStream;
@@ -171,7 +172,9 @@ pub(crate) fn run_stages(
     mut states: Option<&mut [LayerState]>,
     resume: bool,
 ) -> Result<StageOutcome, SneError> {
-    let mut stream = input.clone();
+    // The input is only read: the first pool or layer stage makes the
+    // first owned stream.
+    let mut stream = Cow::Borrowed(input);
     let mut total = CycleStats::new();
     let mut layers = Vec::new();
     let mut profiles = Vec::new();
@@ -180,7 +183,7 @@ pub(crate) fn run_stages(
     for stage in network.stages() {
         match stage {
             Stage::Pool { window, .. } => {
-                stream = stream.downscale(*window);
+                stream = Cow::Owned(stream.downscale(*window));
             }
             Stage::Accelerated {
                 mapping,
@@ -209,14 +212,14 @@ pub(crate) fn run_stages(
                     stream.geometry().timesteps,
                 ));
                 profiles.push(run.timestep_cycles);
-                stream = run.output;
+                stream = Cow::Owned(run.output);
                 layer_index += 1;
             }
         }
     }
 
     Ok(StageOutcome {
-        stream,
+        stream: stream.into_owned(),
         layers,
         profiles,
         total,

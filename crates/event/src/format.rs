@@ -161,15 +161,6 @@ impl EventFormat {
         let op = EventOp::from_code((raw & mask(self.op_bits)) as u8)?;
         Ok(Event { op, t, ch, x, y })
     }
-
-    /// Packs a slice of events, stopping at the first failure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first packing error encountered.
-    pub fn pack_all(&self, events: &[Event]) -> Result<Vec<PackedEvent>, EventError> {
-        events.iter().map(|e| self.pack(e)).collect()
-    }
 }
 
 fn mask(bits: u8) -> u32 {
@@ -237,13 +228,6 @@ mod tests {
             }
             other => panic!("expected overflow, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn pack_all_propagates_errors() {
-        let f = EventFormat::default();
-        let events = [Event::update(0, 0, 0, 0), Event::update(0, 100, 0, 0)];
-        assert!(f.pack_all(&events).is_err());
     }
 
     #[test]

@@ -534,31 +534,17 @@ impl ServerBuilder {
     ///
     /// Propagates artifact/pool construction errors.
     pub fn register(
-        self,
+        mut self,
         name: &str,
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
         lanes: usize,
         engine_exec: ExecStrategy,
     ) -> Result<Self, SneError> {
-        let pool = Arc::new(EnginePool::for_network(
-            network,
-            config,
-            lanes,
-            engine_exec,
-        )?);
-        Ok(self.register_pool(name, pool))
-    }
-
-    /// Registers an already-built engine pool as `name`. The pool's
-    /// engines must not be checked out elsewhere when
-    /// [`ServerBuilder::start`] runs: the model's scheduler workers check
-    /// every engine out for the server's lifetime.
-    #[must_use]
-    pub fn register_pool(mut self, name: &str, pool: Arc<EnginePool>) -> Self {
+        let pool = EnginePool::for_network(network, config, lanes, engine_exec)?;
         self.models.retain(|(n, _)| n != name);
-        self.models.push((name.to_owned(), pool));
-        self
+        self.models.push((name.to_owned(), Arc::new(pool)));
+        Ok(self)
     }
 
     /// Bound on how long a connection may take to deliver one complete
@@ -2019,6 +2005,7 @@ fn stats_body(shared: &ServerShared) -> String {
                 ("recovered_on_boot", Json::from(d.recovered_on_boot)),
                 ("corrupt_discarded", Json::from(d.corrupt_discarded)),
                 ("park_failures", Json::from(d.park_failures)),
+                ("remove_failures", Json::from(d.remove_failures)),
                 ("cold_sessions", Json::from(d.cold_sessions)),
             ]),
         ));

@@ -36,6 +36,11 @@ pub struct DurabilityStats {
     pub corrupt_discarded: u64,
     /// Pushes refused with 503 because their write-ahead park failed.
     pub park_failures: u64,
+    /// Snapshot removals whose journal append or unlink failed: a close,
+    /// the discard of a corrupt cold snapshot, or the retraction of a
+    /// failed first park. The next boot may miscount such a session as
+    /// lost or bring a closed one back.
+    pub remove_failures: u64,
     /// Sessions currently parked on disk.
     pub cold_sessions: u64,
 }
@@ -125,6 +130,18 @@ struct Durable {
     recovered_on_boot: u64,
     corrupt_discarded: AtomicU64,
     park_failures: AtomicU64,
+    remove_failures: AtomicU64,
+}
+
+impl Durable {
+    /// Removes `id`'s snapshot from the store, counting a failure in
+    /// [`DurabilityStats::remove_failures`]. No caller can do more with the
+    /// error: the session is already gone from both tiers.
+    fn remove(&self, id: &str) {
+        if lock_clean(&self.store).remove(id).is_err() {
+            self.remove_failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The two-tier session table (see the module docs).
@@ -182,6 +199,7 @@ impl SessionTable {
             recovered_on_boot: report.recovered.len() as u64,
             corrupt_discarded: AtomicU64::new(report.discarded),
             park_failures: AtomicU64::new(0),
+            remove_failures: AtomicU64::new(0),
         });
         Ok(())
     }
@@ -236,7 +254,7 @@ impl SessionTable {
                     Err(lost) => {
                         tiers.cold.remove(id);
                         if lost != SessionError::Missing {
-                            let _ = lock_clean(&durable.store).remove(id);
+                            durable.remove(id);
                         }
                         return Err(lost);
                     }
@@ -299,17 +317,14 @@ impl SessionTable {
     ) -> std::io::Result<()> {
         if let Some(durable) = &self.durable {
             let bytes = self.models[checkout.model].1.snapshot_client(&client);
-            let parked = {
-                let mut store = lock_clean(&durable.store);
-                let parked = store.park(&checkout.id, &bytes);
-                if parked.is_err() && checkout.created {
-                    // No earlier snapshot to fall back to: drop the id, or
-                    // the next boot's recovery scan counts the `park`
-                    // intent the store journaled as a lost session.
-                    let _ = store.remove(&checkout.id);
-                }
-                parked
-            };
+            let parked = lock_clean(&durable.store).park(&checkout.id, &bytes);
+            if parked.is_err() && checkout.created {
+                // No earlier snapshot to fall back to: drop the id, or the
+                // next boot's recovery scan counts the `park` intent the
+                // store journaled as a lost session. The session is still
+                // marked busy, so nothing else touches the id meanwhile.
+                durable.remove(&checkout.id);
+            }
             if let Err(error) = parked {
                 durable.park_failures.fetch_add(1, Ordering::Relaxed);
                 let mut tiers = lock_clean(&self.tiers);
@@ -371,7 +386,7 @@ impl SessionTable {
                 .map_err(|_| SessionError::Corrupt { model }),
         };
         if let Some(durable) = &self.durable {
-            let _ = lock_clean(&durable.store).remove(id);
+            durable.remove(id);
         }
         client.map(|client| (model, client))
     }
@@ -388,6 +403,7 @@ impl SessionTable {
                 recovered_on_boot: d.recovered_on_boot,
                 corrupt_discarded: d.corrupt_discarded.load(Ordering::Relaxed),
                 park_failures: d.park_failures.load(Ordering::Relaxed),
+                remove_failures: d.remove_failures.load(Ordering::Relaxed),
                 cold_sessions: tiers.cold.len() as u64,
             }),
         }
@@ -698,6 +714,26 @@ mod tests {
             assert!(!store_file(&dir, id, "snap").exists(), "{id}");
             assert_eq!(table.close(id).unwrap_err(), SessionError::UnknownSession);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_snapshot_removal_is_counted_and_close_still_answers() {
+        let dir = store_dir("remove-fail");
+        let table = table(4, Some(&dir));
+        push(&table, "s", Some("a"));
+        // A non-empty directory in place of the snapshot: its unlink fails
+        // with EISDIR.
+        let snap = store_file(&dir, "s", "snap");
+        std::fs::remove_file(&snap).unwrap();
+        std::fs::create_dir(&snap).unwrap();
+        std::fs::write(snap.join("keep"), b"x").unwrap();
+        assert_eq!(durability(&table).remove_failures, 0);
+
+        let (model, client) = table.close("s").unwrap();
+        assert_eq!((model, client.chunks_pushed()), (0, 1));
+        assert_eq!(durability(&table).remove_failures, 1);
+        assert_eq!(table.close("s").unwrap_err(), SessionError::UnknownSession);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,6 @@ use sne_event::Event;
 pub struct Collector {
     num_ports: usize,
     next_port: usize,
-    merged_events: u64,
 }
 
 impl Collector {
@@ -24,7 +23,6 @@ impl Collector {
         Self {
             num_ports,
             next_port: 0,
-            merged_events: 0,
         }
     }
 
@@ -48,9 +46,8 @@ impl Collector {
     ///
     /// The queues are per-slice windows into reusable buffers, and `out` is
     /// the run's output accumulator. Arbitration is round-robin starting
-    /// from the port after the last one served; each granted event costs one
-    /// arbitration cycle, so [`Collector::merged_events`] is also the
-    /// arbitration cycle count.
+    /// from the port after the last one served, so the order of events
+    /// within a timestep depends on the merges before it.
     ///
     /// # Panics
     ///
@@ -82,7 +79,6 @@ impl Collector {
                     cursors[port] += 1;
                     granted_total += 1;
                     self.next_port = (port + 1) % self.num_ports;
-                    self.merged_events += 1;
                     granted = true;
                     break;
                 }
@@ -94,15 +90,8 @@ impl Collector {
         granted_total
     }
 
-    /// Total events merged so far.
-    #[must_use]
-    pub fn merged_events(&self) -> u64 {
-        self.merged_events
-    }
-
-    /// Clears the counters.
-    pub fn reset_counters(&mut self) {
-        self.merged_events = 0;
+    /// Restarts the round-robin arbitration at port 0 (the start of a run).
+    pub fn reset(&mut self) {
         self.next_port = 0;
     }
 }
@@ -122,7 +111,6 @@ mod tests {
         let merged = collector.merge(&mut queues);
         assert_eq!(merged.len(), 3);
         assert!(queues.iter().all(Vec::is_empty));
-        assert_eq!(collector.merged_events(), 3);
     }
 
     #[test]
@@ -145,7 +133,6 @@ mod tests {
         let mut collector = Collector::new(4);
         let mut queues = vec![Vec::new(); 4];
         assert!(collector.merge(&mut queues).is_empty());
-        assert_eq!(collector.merged_events(), 0);
     }
 
     #[test]
@@ -171,7 +158,6 @@ mod tests {
         let granted = borrowed.merge_slices(&views, &mut out);
         assert_eq!(granted, 3);
         assert_eq!(&out[1..], expected.as_slice());
-        assert_eq!(borrowed.merged_events(), draining.merged_events());
         // The round-robin pointer advanced identically: a second merge of the
         // same queues interleaves the same way on both collectors.
         let mut out2 = Vec::new();
@@ -181,10 +167,20 @@ mod tests {
 
     #[test]
     fn counters_reset() {
-        let mut collector = Collector::new(1);
-        let mut queues = vec![vec![Event::fire(0)]];
-        let _ = collector.merge(&mut queues);
-        collector.reset_counters();
-        assert_eq!(collector.merged_events(), 0);
+        // After a grant on port 0 the next merge starts at port 1; a reset
+        // starts it at port 0 again.
+        let first_x = |collector: &mut Collector| {
+            let mut queues = [
+                vec![Event::update(0, 0, 10, 0)],
+                vec![Event::update(0, 1, 20, 0)],
+            ];
+            collector.merge(&mut queues)[0].x
+        };
+        let mut collector = Collector::new(2);
+        let _ = collector.merge(&mut [vec![Event::fire(0)], Vec::new()]);
+        assert_eq!(first_x(&mut collector), 20);
+        let _ = collector.merge(&mut [vec![Event::fire(0)], Vec::new()]);
+        collector.reset();
+        assert_eq!(first_x(&mut collector), 10);
     }
 }

@@ -40,8 +40,8 @@ pub struct SneConfig {
     pub tlu_enabled: bool,
     /// Enables clock gating of clusters that are not addressed by an event.
     pub clock_gating: bool,
-    /// Enables the broadcast mode of the crossbar (an event is delivered to
-    /// all clusters of a slice in one transfer instead of one per cluster).
+    /// Enables the broadcast mode of the crossbar (an op is delivered to
+    /// every slice in one transfer instead of one per slice).
     pub broadcast: bool,
     /// Enables the double-buffered state memory (one state update per cycle;
     /// disabling it models a single-ported memory needing two cycles).

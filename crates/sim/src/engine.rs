@@ -1,12 +1,14 @@
 //! The top-level SNE engine.
 //!
-//! The engine owns the slices, the crossbar, the streamers and the collector,
-//! and executes one mapped layer at a time over an input event stream (the
-//! time-multiplexed operating mode of paper §III-D.5; the layer-per-slice
-//! pipelined mode is built on top of this in the `sne` crate by chaining layer
-//! runs through memory). The paper's register interface, sequencer and
-//! operation decoder are not modelled as components: they reach the results
-//! only through the per-op cycle costs below.
+//! The engine owns the slices and the collector, and executes one mapped
+//! layer at a time over an input event stream (the time-multiplexed operating
+//! mode of paper §III-D.5; the layer-per-slice pipelined mode is built on top
+//! of this in the `sne` crate by chaining layer runs through memory). The
+//! paper's register interface, sequencer and operation decoder are not
+//! modelled as components: they reach the results only through the per-op
+//! cycle costs below. Nor are the streamers, the memory behind them and the
+//! crossbar: their word counts, transfers and stalls are priced by formula
+//! (see `dma_stall`).
 //!
 //! Timing model (cycle-approximate, calibrated on the paper's figures):
 //!
@@ -17,8 +19,8 @@
 //!   cycles unless every cluster skipped it via the TLU, in which case it
 //!   costs a single sequencer cycle;
 //! * a `RST_OP` costs one cycle (all clusters clear in parallel);
-//! * streamer stalls (memory slower than the consumption rate) add to the
-//!   total cycle count.
+//! * streamer stalls (memory slower than the consumption rate, see
+//!   `dma_stall`) add to the total cycle count.
 
 use sne_event::stream::Geometry;
 use sne_event::{Event, EventFormat, EventOp, EventStream};
@@ -27,16 +29,13 @@ use crate::collector::Collector;
 use crate::config::SneConfig;
 use crate::exec::ExecStrategy;
 use crate::mapping::LayerMapping;
-use crate::memory::MemoryModel;
 use crate::plan::{EventRow, LayerPlan, StencilTable};
 use crate::simd::Kernel;
 use crate::slice::Slice;
 use crate::state::LayerState;
 use crate::stats::CycleStats;
-use crate::streamer::Streamer;
 use crate::trace::{Trace, TraceRecord};
 use crate::worker::{run_slice_pass, SliceRecord, SliceTask, WorkerContext};
-use crate::xbar::{CrossBar, XbarPort};
 use crate::SimError;
 
 /// Result of running one layer on the engine.
@@ -57,11 +56,8 @@ pub struct LayerRunOutput {
 #[derive(Debug)]
 pub struct Engine {
     config: SneConfig,
-    xbar: CrossBar,
     collector: Collector,
     slices: Vec<Slice>,
-    memory: MemoryModel,
-    format: EventFormat,
     trace: Trace,
     /// How the per-slice worker units of a pass execute on the host.
     exec: ExecStrategy,
@@ -117,11 +113,8 @@ impl Engine {
             .map(|_| Slice::new(&config))
             .collect();
         Self {
-            xbar: CrossBar::new(config.num_slices, config.broadcast),
             collector: Collector::new(config.num_slices),
             slices,
-            memory: MemoryModel::new(config.memory_latency, 2),
-            format: EventFormat::default(),
             trace: Trace::disabled(),
             exec,
             records: Vec::new(),
@@ -326,8 +319,7 @@ impl Engine {
         for event in input.iter().filter(|e| e.is_spike()) {
             mapping.validate_event(event)?;
         }
-        self.xbar.reset_counters();
-        self.collector.reset_counters();
+        self.collector.reset();
 
         // A resumed chunk continues from saved state: no initial RST_OP.
         // Built into the engine's reusable scratch buffer (taken out for the
@@ -353,11 +345,9 @@ impl Engine {
         };
 
         let mut stats = CycleStats::new();
-        // Model the input DMA: pack the operation sequence into memory words
-        // and stream them in through the 16-word FIFO. If the stream does not
-        // fit the 32-bit format (e.g. very long synthetic runs), fall back to
-        // pure word counting.
-        let (in_reads, in_stalls) = self.model_input_dma(&op_sequence);
+        // The input DMA streams the whole op sequence in once per pass, one
+        // word per op.
+        let in_stalls = self.dma_stall_cycles(&op_sequence);
 
         let total_neurons = mapping.total_output_neurons();
         let neurons_per_slice = self.config.neurons_per_slice();
@@ -455,13 +445,13 @@ impl Engine {
             exec.run(&mut tasks, |_, task| run_slice_pass(task, &ctx));
             drop(tasks);
 
-            stats.streamer_reads += in_reads;
+            stats.streamer_reads += op_sequence.len() as u64;
             stats.stall_cycles += in_stalls;
             stats.total_cycles += in_stalls;
             timestep_cycles[0] += in_stalls;
 
             // Merge: a single deterministic walk over the op sequence in
-            // slice order reproduces the crossbar broadcasts, the collector
+            // slice order reproduces the crossbar transfers, the collector
             // arbitration and the cycle accounting of the hardware exactly.
             self.reduce_pass(
                 &op_sequence,
@@ -477,14 +467,14 @@ impl Engine {
         self.stencil_scratch = stencils;
         self.op_scratch = op_sequence;
 
-        // Model the output DMA.
-        let (out_writes, out_stalls) = self.model_output_dma(&output_events);
-        stats.streamer_writes += out_writes;
+        // The output DMA streams every merged output event out, one word
+        // each; the collector arbitrated exactly those events.
+        let out_stalls = self.dma_stall_cycles(&output_events);
+        stats.streamer_writes += output_events.len() as u64;
         stats.stall_cycles += out_stalls;
         stats.total_cycles += out_stalls;
         timestep_cycles[timesteps as usize - 1] += out_stalls;
-        stats.xbar_transfers = self.xbar.transfers();
-        stats.collector_events = self.collector.merged_events();
+        stats.collector_events = stats.output_events;
 
         let geometry = Geometry::new(
             out_shape.width.max(1),
@@ -506,9 +496,9 @@ impl Engine {
 
     /// The deterministic reduction of one pass: walks the op sequence once,
     /// combining the per-slice worker records **in slice order** into the
-    /// global cycle accounting, the crossbar/collector activity, the trace
-    /// and the output event stream — exactly the arbitration the sequential
-    /// engine (and the hardware's collector tree) performs.
+    /// global cycle accounting, the crossbar transfers, the trace and the
+    /// output event stream — exactly the arbitration the sequential engine
+    /// (and the hardware's collector tree) performs.
     fn reduce_pass(
         &mut self,
         ops: &[Event],
@@ -519,16 +509,23 @@ impl Engine {
         output_events: &mut Vec<Event>,
     ) {
         // Split the engine into its disjoint parts so the records can be read
-        // while the crossbar/collector/trace are driven.
+        // while the collector and the trace are driven.
         let records = &self.records;
         let collector = &mut self.collector;
-        let xbar = &mut self.xbar;
         let trace = &mut self.trace;
         let cursors = &mut self.cursors;
         cursors.clear();
         cursors.resize(records.len(), 0);
         let event_cost = u64::from(self.config.cycles_per_event) * state_access_factor;
         let scan_cost = self.config.neurons_per_cluster as u64 * state_access_factor;
+        // The crossbar delivers each RST_OP and UPDATE_OP to every slice:
+        // one flow-controlled broadcast, or one point-to-point transfer per
+        // slice without broadcast (the ablation case).
+        let broadcast_transfers = if self.config.broadcast {
+            1
+        } else {
+            self.config.num_slices as u64
+        };
 
         let mut views: Vec<&[Event]> = Vec::with_capacity(records.len());
         let mut update_index = 0usize;
@@ -536,14 +533,14 @@ impl Engine {
         for op in ops {
             match op.op {
                 EventOp::Reset => {
-                    let _ = xbar.broadcast(XbarPort::StreamerIn);
+                    stats.xbar_transfers += broadcast_transfers;
                     stats.reset_cycles += 1;
                     stats.total_cycles += 1;
                     timestep_cycles[op.t as usize] += 1;
                     trace.push(TraceRecord::Reset { time: op.t });
                 }
                 EventOp::Update => {
-                    let _ = xbar.broadcast(XbarPort::StreamerIn);
+                    stats.xbar_transfers += broadcast_transfers;
                     stats.input_events += 1;
                     stats.update_cycles += event_cost;
                     stats.total_cycles += event_cost;
@@ -601,10 +598,10 @@ impl Engine {
                     stats.total_cycles += fire_cost;
                     timestep_cycles[op.t as usize] += fire_cost;
                     stats.output_events += emitted;
+                    // Each merged event crosses the crossbar once, from the
+                    // collector to the output streamer.
                     let merged = collector.merge_slices(&views, output_events);
-                    for _ in 0..merged {
-                        let _ = xbar.route(XbarPort::Collector, XbarPort::StreamerOut);
-                    }
+                    stats.xbar_transfers += merged as u64;
                     trace.push(TraceRecord::FireScan {
                         time: op.t,
                         emitted,
@@ -620,40 +617,42 @@ impl Engine {
         }
     }
 
-    /// Streams the operation sequence through the input DMA model, returning
-    /// `(words_read, stall_cycles)`.
-    fn model_input_dma(&mut self, ops: &[Event]) -> (u64, u64) {
-        match self.format.pack_all(ops) {
-            Ok(words) => {
-                self.memory.load_events(words);
-                let streamer = Streamer::new(
-                    self.format,
-                    self.config.streamer_fifo_depth,
-                    self.config.cycles_per_event,
-                );
-                match streamer.stream_in(&self.memory, self.config.num_streamers as u32) {
-                    Ok(result) => (result.words_read, result.stall_cycles),
-                    Err(_) => (ops.len() as u64, 0),
-                }
-            }
-            Err(_) => (ops.len() as u64, 0),
+    /// Stall cycles of one DMA transfer of `events`, one 32-bit word each
+    /// (timing assumption 5): the memory latency the streamers see, plus
+    /// 2 cycles of contention per extra streamer, priced by [`dma_stall`].
+    /// A transfer holding an event that does not fit the Fig. 1 word (a
+    /// timestamp past 255, say) is only counted, never stalled.
+    fn dma_stall_cycles(&self, events: &[Event]) -> u64 {
+        let latency = u64::from(self.config.memory_latency)
+            + 2 * (self.config.num_streamers as u64).saturating_sub(1);
+        let interval = u64::from(self.config.cycles_per_event);
+        if latency <= interval {
+            // Nothing can stall (the default memory): skip the fit check.
+            return 0;
         }
+        let format = EventFormat::default();
+        if events.iter().any(|e| format.pack(e).is_err()) {
+            return 0;
+        }
+        dma_stall(
+            events.len() as u64,
+            latency,
+            interval,
+            self.config.streamer_fifo_depth as u64,
+        )
     }
+}
 
-    /// Streams the produced output events through the output DMA model,
-    /// returning `(words_written, stall_cycles)`.
-    fn model_output_dma(&mut self, events: &[Event]) -> (u64, u64) {
-        let mut memory = MemoryModel::new(self.config.memory_latency, 2);
-        let streamer = Streamer::new(
-            self.format,
-            self.config.streamer_fifo_depth,
-            self.config.cycles_per_event,
-        );
-        match streamer.stream_out(events, &mut memory, self.config.num_streamers as u32) {
-            Ok(result) => (result.words_written, result.stall_cycles),
-            Err(_) => (events.len() as u64, 0),
-        }
-    }
+/// Stall cycles of a streamer moving `words` words through a FIFO of
+/// `fifo_depth` words, when each word takes `latency` cycles to fetch and the
+/// engine consumes one every `interval` cycles.
+///
+/// The FIFO starts full, holding `fifo_depth × interval` cycles of slack.
+/// A memory no slower than the engine never drains it; a slower one drains
+/// `latency − interval` cycles per word, and every cycle past the slack is a
+/// stall: `max(0, words × (latency − interval) − fifo_depth × interval)`.
+fn dma_stall(words: u64, latency: u64, interval: u64, fifo_depth: u64) -> u64 {
+    (words * latency.saturating_sub(interval)).saturating_sub(fifo_depth * interval)
 }
 
 #[cfg(test)]
@@ -1138,5 +1137,236 @@ mod tests {
         assert!(a.fire_cycles < b.fire_cycles);
         assert!(a.tlu_skipped_updates > 0);
         assert_eq!(b.tlu_skipped_updates, 0);
+    }
+
+    /// The data-movement counters of a run, in the order the pin tests below
+    /// assert them: `(stall_cycles, streamer_reads, streamer_writes,
+    /// xbar_transfers, collector_events)`.
+    fn movement(stats: &CycleStats) -> (u64, u64, u64, u64, u64) {
+        (
+            stats.stall_cycles,
+            stats.streamer_reads,
+            stats.streamer_writes,
+            stats.xbar_transfers,
+            stats.collector_events,
+        )
+    }
+
+    /// A memory slower than the 48-cycle event interval: 60 cycles plus 2
+    /// for the second streamer's contention is 62, so once the 16-word FIFO's
+    /// 16 × 48 = 768 cycles of slack are spent every word stalls 14 cycles.
+    fn slow_memory() -> SneConfig {
+        SneConfig {
+            memory_latency: 60,
+            num_streamers: 2,
+            streamer_fifo_depth: 16,
+            ..small_config()
+        }
+    }
+
+    /// A `timesteps`-long 4x4 stream with one centre spike in each of the
+    /// given timesteps.
+    fn centre_spikes(timesteps: u32, spiking: impl IntoIterator<Item = u32>) -> EventStream {
+        let mut s = EventStream::new(4, 4, 1, timesteps);
+        for t in spiking {
+            s.push(Event::update(t, 0, 2, 2)).unwrap();
+        }
+        s
+    }
+
+    /// The conv layer of [`conv_mapping`] widened to 8 output channels: two
+    /// mapping passes on [`small_config`].
+    fn two_pass_mapping() -> LayerMapping {
+        LayerMapping::conv(
+            MapShape::new(1, 4, 4),
+            8,
+            3,
+            vec![1i8; 8 * 9],
+            LifHardwareParams {
+                leak: 0,
+                threshold: 1,
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn slow_memory_stalls_both_dma_transfers() {
+        // In: RST + 30 UPDATE + 30 FIRE = 61 words, 61 × 14 − 768 = 86
+        // stall cycles. Out: each spike fires its 18-neuron receptive field,
+        // 540 words, 540 × 14 − 768 = 6792. The crossbar broadcasts 31 ops
+        // and routes 540 merged outputs.
+        let stream = centre_spikes(30, 0..30);
+        let mapping = conv_mapping(1);
+        let run = Engine::new(slow_memory())
+            .run_layer(&mapping, &stream)
+            .unwrap();
+        assert_eq!(run.stats.output_events, 540);
+        assert_eq!(movement(&run.stats), (86 + 6792, 61, 540, 31 + 540, 540));
+        // The fill stall is charged to the first timestep, the drain stall
+        // to the last; nothing else moves.
+        let fast = Engine::new(small_config())
+            .run_layer(&mapping, &stream)
+            .unwrap();
+        assert_eq!(movement(&fast.stats), (0, 61, 540, 571, 540));
+        assert_eq!(run.output, fast.output);
+        assert_eq!(run.stats.total_cycles, fast.stats.total_cycles + 6878);
+        assert_eq!(run.timestep_cycles[0], fast.timestep_cycles[0] + 86);
+        assert_eq!(run.timestep_cycles[29], fast.timestep_cycles[29] + 6792);
+        assert_eq!(run.timestep_cycles[1..29], fast.timestep_cycles[1..29]);
+        // Contention: one streamer sees 60 cycles, 12 over the interval; the
+        // 61 input words (732 cycles) stay within the FIFO's slack.
+        let single = Engine::new(SneConfig {
+            num_streamers: 1,
+            ..slow_memory()
+        })
+        .run_layer(&mapping, &stream)
+        .unwrap();
+        assert_eq!(movement(&single.stats), (540 * 12 - 768, 61, 540, 571, 540));
+        // A one-word FIFO hides only 48 cycles of the 62-cycle latency.
+        let shallow = Engine::new(SneConfig {
+            streamer_fifo_depth: 1,
+            ..slow_memory()
+        })
+        .run_layer(&mapping, &stream)
+        .unwrap();
+        assert_eq!(
+            movement(&shallow.stats),
+            (61 * 14 - 48 + 540 * 14 - 48, 61, 540, 571, 540)
+        );
+    }
+
+    #[test]
+    fn streams_past_256_timesteps_fall_back_to_word_counting() {
+        // The Fig. 1 word holds 8 time bits. Over 256 timesteps a transfer
+        // that holds a later timestamp is counted but never stalls.
+        let mapping = conv_mapping(1);
+        let run = |timesteps: u32, spiking: Vec<u32>| {
+            Engine::new(slow_memory())
+                .run_layer(&mapping, &centre_spikes(timesteps, spiking))
+                .unwrap()
+                .stats
+        };
+        // 256 timesteps: every word fits. In: 1 + 41 + 256 = 298 words,
+        // 298 × 14 − 768 = 3404. Out: 41 × 18 = 738 words, 9564 cycles.
+        assert_eq!(
+            movement(&run(256, (0..41).collect())),
+            (3404 + 9564, 298, 738, 42 + 738, 738)
+        );
+        // 300 timesteps: the FIRE_OPs of t ≥ 256 do not fit, so the input
+        // DMA never stalls; the outputs (all before t = 41) still do.
+        assert_eq!(
+            movement(&run(300, (0..41).collect())),
+            (9564, 342, 738, 42 + 738, 738)
+        );
+        // Outputs past t = 255 do not fit either: no stall on either side.
+        let late: Vec<u32> = (0..41).chain(260..300).collect();
+        assert_eq!(
+            movement(&run(300, late)),
+            (0, 382, 81 * 18, 82 + 81 * 18, 81 * 18)
+        );
+    }
+
+    #[test]
+    fn input_dma_is_charged_once_per_pass() {
+        // Two passes each stream the 61-word op sequence in (86 stall
+        // cycles each); the 30 × 72 = 2160 outputs of both passes leave in
+        // one transfer, 2160 × 14 − 768 = 29472 cycles.
+        let mapping = two_pass_mapping();
+        let stream = centre_spikes(30, 0..30);
+        let mut engine = Engine::new(slow_memory());
+        assert_eq!(engine.passes_for(&mapping), 2);
+        let run = engine.run_layer(&mapping, &stream).unwrap();
+        assert_eq!(run.stats.passes, 2);
+        assert_eq!(
+            movement(&run.stats),
+            (2 * 86 + 29472, 2 * 61, 2160, 2 * 31 + 2160, 2160)
+        );
+        assert_eq!(
+            run.timestep_cycles.iter().sum::<u64>(),
+            run.stats.total_cycles
+        );
+    }
+
+    #[test]
+    fn point_to_point_crossbar_sends_one_transfer_per_slice() {
+        // With broadcast off each RST_OP and UPDATE_OP crosses the crossbar
+        // once per slice (2 here), in every pass; merged outputs still take
+        // one transfer each. At the default memory latency (4 + 2 < 48)
+        // nothing stalls.
+        let mapping = two_pass_mapping();
+        let stream = centre_spikes(30, 0..30);
+        let mut unicast = Engine::new(SneConfig {
+            broadcast: false,
+            ..small_config()
+        });
+        let first = unicast.run_layer(&mapping, &stream).unwrap();
+        assert_eq!(
+            movement(&first.stats),
+            (0, 2 * 61, 2160, 2 * 31 * 2 + 2160, 2160)
+        );
+        // Counters start from zero on every run of the same engine.
+        let second = unicast.run_layer(&mapping, &stream).unwrap();
+        assert_eq!(second, first);
+        let broadcast = Engine::new(small_config())
+            .run_layer(&mapping, &stream)
+            .unwrap();
+        assert_eq!(
+            movement(&broadcast.stats),
+            (0, 122, 2160, 2 * 31 + 2160, 2160)
+        );
+        assert_eq!(broadcast.output, first.output);
+        assert_eq!(broadcast.stats.total_cycles, first.stats.total_cycles);
+    }
+
+    /// The 16-word FIFO credit loop of the deleted streamer model, kept as
+    /// the reference for [`dma_stall`]: the FIFO starts with `depth ×
+    /// interval` cycles of slack, each word adds `interval − latency`, and
+    /// any deficit is paid as stall cycles.
+    fn credit_loop_stall(words: u64, latency: u64, interval: u64, depth: u64) -> u64 {
+        let full = (depth * interval) as i64;
+        let mut credit = full;
+        let mut stall = 0u64;
+        for _ in 0..words {
+            credit += interval as i64 - latency as i64;
+            if credit < 0 {
+                stall += credit.unsigned_abs();
+                credit = 0;
+            }
+            credit = credit.min(full);
+        }
+        stall
+    }
+
+    #[test]
+    fn dma_stall_closed_form_matches_the_fifo_credit_loop() {
+        for interval in [48u64, 7] {
+            for latency in [
+                0,
+                1,
+                interval / 2,
+                interval - 1,
+                interval,
+                interval + 1,
+                60,
+                62,
+                200,
+            ] {
+                for depth in 1..=32u64 {
+                    for words in 0..=400u64 {
+                        assert_eq!(
+                            dma_stall(words, latency, interval, depth),
+                            credit_loop_stall(words, latency, interval, depth),
+                            "{words} words, latency {latency}, interval {interval}, depth {depth}"
+                        );
+                    }
+                    // A deeper FIFO never stalls more.
+                    assert!(
+                        dma_stall(400, latency, interval, depth + 1)
+                            <= dma_stall(400, latency, interval, depth)
+                    );
+                }
+            }
+        }
     }
 }

@@ -11,16 +11,17 @@
 //!   events onto receptive fields, and the per-slice weight buffer. The
 //!   paper's TDM sequencer and operation decoder are not separate components:
 //!   they reach the results only through the per-op cycle costs below.
-//! * [`xbar::CrossBar`] — the synaptic crossbar routing event/weight streams
-//!   between streamers, slices and the collector (point-to-point and
-//!   broadcast modes).
-//! * [`streamer::Streamer`] — the DMA engines with their 16-word FIFOs and a
-//!   latency/contention [`memory::MemoryModel`].
 //! * [`collector::Collector`] — arbitration of sparse slice outputs into a
 //!   single stream.
 //! * [`engine::Engine`] — the top level: maps eCNN layers onto slices
 //!   ([`mapping::LayerMapping`]), runs the event stream and accounts cycles,
 //!   synaptic operations and per-component activity ([`stats::CycleStats`]).
+//!   The streamers (DMAs), the memory behind them and the synaptic crossbar
+//!   (C-XBAR) are not components either: the engine prices their traffic by
+//!   formula. One 32-bit word moves per consumed op or emitted event, each
+//!   `RST_OP`/`UPDATE_OP` is one crossbar broadcast (one transfer per slice
+//!   with [`SneConfig::broadcast`] off), each merged output is one crossbar
+//!   transfer, and memory stalls follow assumption 5 below.
 //! * [`worker`] — the per-slice worker unit a mapping pass decomposes into
 //!   (the slice, its output record and its share of the persistent state),
 //!   with no shared mutable state between units.
@@ -68,12 +69,21 @@
 //!    by a property test).
 //! 4. **Resets.** A `RST_OP` costs one cycle: all clusters clear their state
 //!    in parallel.
-//! 5. **Memory stalls.** Streamer DMAs move one packed 32-bit event word per
-//!    cycle through 16-word FIFOs backed by a latency/contention
-//!    [`memory::MemoryModel`]; when the memory cannot sustain the engine's
-//!    consumption rate (or weights must be streamed per event because a
-//!    layer's filters exceed [`SneConfig::weight_buffer_sets`]), the missing
-//!    cycles are added to the total as stalls.
+//! 5. **Memory stalls.** The streamer DMAs move one packed 32-bit event word
+//!    per consumed op (the input op sequence, once per mapping pass) or per
+//!    emitted event (the output stream, once per run). A word takes `L`
+//!    cycles to fetch: [`SneConfig::memory_latency`] plus 2 cycles of
+//!    contention per streamer beyond the first ([`SneConfig::num_streamers`]).
+//!    The engine consumes one every `I` = [`SneConfig::cycles_per_event`]
+//!    cycles, and a full FIFO of `D` = [`SneConfig::streamer_fifo_depth`]
+//!    words hides `D × I` cycles. A transfer of `n` words therefore stalls
+//!    for `max(0, n × (L − I) − D × I)` cycles when `L > I`, and never when
+//!    `L ≤ I` (the default: 4 + 2 < 48) or when an event in the transfer
+//!    does not fit the Fig. 1 word (a timestamp past 255). Weights streamed
+//!    per event, because a layer's filters exceed
+//!    [`SneConfig::weight_buffer_sets`], stall for the words an event's
+//!    synaptic ops need beyond its consumption window. The stalls are added
+//!    to the total cycle count.
 //! 6. **Clock gating.** Clusters not addressed by the current event are
 //!    clock-gated; [`stats::CycleStats`] accounts active versus gated
 //!    cluster-cycles, which is what makes the energy model in `sne-energy`
@@ -99,16 +109,13 @@ pub mod config;
 pub mod engine;
 pub mod exec;
 pub mod mapping;
-pub mod memory;
 pub mod plan;
 pub mod simd;
 pub mod slice;
 pub mod state;
 pub mod stats;
-pub mod streamer;
 pub mod trace;
 pub mod worker;
-pub mod xbar;
 
 mod error;
 
