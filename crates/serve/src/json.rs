@@ -14,6 +14,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level on the caller's thread (the server's reactor),
+/// so without a bound a small hostile body overflows its stack and aborts
+/// the process; the server's request schema needs 3 levels.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 ///
 /// Object members keep their source order (lookup is linear — the server's
@@ -64,7 +70,7 @@ impl Json {
             pos: 0,
         };
         parser.skip_ws();
-        let value = parser.value()?;
+        let value = parser.value(0)?;
         parser.skip_ws();
         if parser.pos != parser.bytes.len() {
             return Err(parser.error("trailing characters after the document"));
@@ -268,10 +274,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses the value at `pos`, inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.error("nesting too deep")),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -281,7 +289,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{', "expected '{'")?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -295,7 +303,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':', "expected ':' after object key")?;
             self.skip_ws();
-            members.push((key, self.value()?));
+            members.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -308,7 +316,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[', "expected '['")?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -318,7 +326,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -530,6 +538,27 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack_is() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "the bracket that crossed the limit");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Unbounded, 100k levels overflow a 2 MiB stack (the default for a
+        // spawned thread, such as a reactor shard) and abort the process.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(100_000)).is_err())
+            .unwrap();
+        assert!(deep.join().unwrap());
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //!    propagation, live latency/throughput/per-route stats, `GET /healthz`,
 //!    and graceful shutdown that drains in-flight requests.
 //!
+//! The [`server`] module's reactors own sockets, timers and HTTP framing;
+//! every decision about a request — routing, admission, the handlers, the
+//! session table and the counters — belongs to one crate-private,
+//! socket-free service (DESIGN.md §13), whose unit tests answer every
+//! status without a socket.
+//!
 //! With [`ServerBuilder::durable_store`] the session table grows a disk
 //! tier (DESIGN.md §14): every push parks a versioned, digest-checked
 //! snapshot in an `sne_store::SessionStore`, idle sessions are demoted to
@@ -62,6 +68,7 @@ pub mod http;
 pub mod json;
 pub mod reactor;
 pub mod server;
+mod service;
 mod sessions;
 
 pub use json::{Json, JsonError};

@@ -1,8 +1,15 @@
 //! The serving front-end: sharded nonblocking reactors multiplexing every
-//! connection, model registry, session table, admission control, stats,
-//! graceful shutdown.
+//! connection, and graceful shutdown.
 //!
 //! ## Architecture (DESIGN.md §13, §15)
+//!
+//! The reactors own the sockets, the connection slab, the timers, shard
+//! placement and handoff, shutdown and HTTP framing. Every decision a
+//! request needs — routing, admission, the handlers, request ids, the
+//! session table and every counter — belongs to one socket-free service
+//! (`service.rs`), which takes a parsed [`Request`] and returns an inline
+//! answer or dispatches the job; its tests reach every status without a
+//! socket.
 //!
 //! N independent reactor shards (default one per core, see
 //! [`ServerBuilder::reactor_shards`]) each own a [`Poller`] (epoll on
@@ -15,19 +22,20 @@
 //! reachable from any connection.
 //!
 //! A complete request is either answered inline (stats, health, session
-//! close) or **dispatched**: admission-checked against a bounded in-flight
-//! budget per model, then handed to the model's work-stealing [`Scheduler`]
-//! via its nonblocking `call_async`/`call_push_async` entry points. The
-//! serving worker thread finishes the inference and ships the **raw
-//! result** onto its shard's completion queue (off-worker serialization:
-//! JSON/HTTP rendering happens on the reactor at delivery time, so the
-//! engine-holding thread returns to compute immediately), then wakes that
-//! shard, which writes the response out with backpressure (partial writes
-//! park the connection on write interest). Connections are HTTP/1.1
-//! **keep-alive** by default, so a streaming client's chunk sequence reuses
-//! one connection instead of paying connect + teardown per push; parked
-//! idle connections cost nothing but their descriptor — the kernel only
-//! reports ready ones.
+//! close, every refusal) or **dispatched**: admission-checked against a
+//! bounded in-flight budget per model, then handed to the model's
+//! work-stealing [`sne::batch::Scheduler`] via its nonblocking
+//! `call_async`/`call_push_async` entry points. The serving worker thread
+//! finishes the inference and ships the **raw result** onto its shard's
+//! completion queue, then wakes that shard. The service renders it there
+//! (off-worker serialization: the engine-holding thread returns to compute
+//! immediately), and the reactor writes the response out with backpressure
+//! (partial writes park the connection on write interest).
+//!
+//! Connections are HTTP/1.1 **keep-alive** by default, so a streaming
+//! client's chunk sequence reuses one connection instead of paying a
+//! connect and a teardown per push; parked idle connections cost nothing
+//! but their descriptor — the kernel only reports ready ones.
 //!
 //! Deadlines live on each shard's timer wheel: a connection mid-request
 //! must deliver the complete request within the read deadline (slow-loris
@@ -54,7 +62,7 @@
 //! Every response carries an `X-Request-Id` (echoed from the request when
 //! the client sent one, generated otherwise); per-route counters and a ring
 //! of recent request records are served from `GET /v1/stats`, and
-//! `GET /healthz` answers from the reactor alone.
+//! `GET /healthz` answers inline, without an engine.
 //!
 //! ## Endpoints
 //!
@@ -67,8 +75,9 @@
 //! | `GET /healthz` | — | liveness: `{"status":"ok",...}` |
 //!
 //! Errors are `{"error": "..."}` with 400 (bad request), 404 (unknown
-//! model/session/route), 405 (wrong method), 408 (read deadline), 409
-//! (session busy), 429 (shed) or 503 (capacity, failed write-ahead park).
+//! model/session/route), 405 (a known path with the wrong method), 408
+//! (read deadline), 409 (session busy, `chunk_seq` mismatch), 429 (shed) or
+//! 503 (capacity, failed write-ahead park).
 //!
 //! ## Graceful shutdown
 //!
@@ -80,25 +89,20 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sne::artifact::RuntimeArtifact;
-use sne::batch::{EnginePool, LatencySummary, Scheduler};
+use sne::batch::EnginePool;
 use sne::compile::CompiledNetwork;
-use sne::run::InferenceResult;
-use sne::session::ChunkOutput;
 use sne::SneError;
-use sne_event::{Event, EventStream};
 use sne_sim::{ExecStrategy, SneConfig};
 use sne_store::FsyncPolicy;
 
 use crate::http::{append_response, format_response, Request, RequestParser};
-use crate::json::Json;
 use crate::reactor::{Interest, PollEvent, Poller, TimerEntry, TimerWheel, WakePipe, Waker};
-use crate::sessions::{SessionError, SessionTable};
+use crate::service::{error_body, Completion, ReplyTo, Response, Service, ShardCounters};
 
 pub use crate::sessions::DurabilityStats;
 
@@ -136,9 +140,6 @@ pub const AUTO_REACTOR_SHARDS_CAP: usize = 8;
 /// thread).
 pub const MAX_REACTOR_SHARDS: usize = 64;
 
-/// Entries kept in the recent-request ring served by `/v1/stats`.
-const REQUEST_LOG_CAPACITY: usize = 64;
-
 /// Extra time given to not-yet-parked connections at shutdown to deliver
 /// their in-flight request before the reactor closes them.
 const SHUTDOWN_DRAIN_GRACE: Duration = Duration::from_secs(1);
@@ -156,254 +157,6 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One registered model: its engine pool, the work-stealing scheduler
-/// whose workers own the pool's engines, admission bookkeeping and request
-/// counters.
-#[derive(Debug)]
-struct ModelEntry {
-    pool: Arc<EnginePool>,
-    scheduler: Scheduler,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    /// Dispatched requests in flight (admission-queue occupancy).
-    inflight: AtomicU64,
-    /// Requests shed with 429 because the admission budget was exhausted.
-    shed: AtomicU64,
-}
-
-/// Per-route request/error counters (an error is any response ≥ 400).
-#[derive(Debug, Default)]
-struct RouteCounter {
-    requests: AtomicU64,
-    errors: AtomicU64,
-}
-
-impl RouteCounter {
-    fn hit(&self, status: u16) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if status >= 400 {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "requests",
-                Json::from(self.requests.load(Ordering::Relaxed)),
-            ),
-            ("errors", Json::from(self.errors.load(Ordering::Relaxed))),
-        ])
-    }
-}
-
-#[derive(Debug, Default)]
-struct RouteCounters {
-    infer: RouteCounter,
-    stream_push: RouteCounter,
-    stream_close: RouteCounter,
-    stats: RouteCounter,
-    healthz: RouteCounter,
-    other: RouteCounter,
-}
-
-impl RouteCounters {
-    fn counter(&self, route: &'static str) -> &RouteCounter {
-        match route {
-            "infer" => &self.infer,
-            "stream_push" => &self.stream_push,
-            "stream_close" => &self.stream_close,
-            "stats" => &self.stats,
-            "healthz" => &self.healthz,
-            _ => &self.other,
-        }
-    }
-}
-
-/// Samples kept per latency series of the [`LatencyRecorder`] (oldest
-/// evicted first).
-const RECORDER_WINDOW: usize = 4096;
-
-/// Request totals plus a bounded window of recent queue-wait and service
-/// latencies, for `/v1/stats`. Every engine-served request is recorded
-/// once, by its completion callback.
-#[derive(Debug, Default)]
-struct LatencyRecorder {
-    inner: Mutex<RecorderInner>,
-}
-
-#[derive(Debug, Default)]
-struct RecorderInner {
-    completed: u64,
-    errors: u64,
-    queue_us: std::collections::VecDeque<f64>,
-    service_us: std::collections::VecDeque<f64>,
-}
-
-/// A [`LatencyRecorder`] snapshot: totals and the window's percentiles.
-struct RecorderStats {
-    completed: u64,
-    errors: u64,
-    queue: LatencySummary,
-    service: LatencySummary,
-}
-
-impl LatencyRecorder {
-    /// Records one completed request.
-    fn record(&self, queue_us: f64, service_us: f64, is_error: bool) {
-        let mut guard = lock_clean(&self.inner);
-        let inner = &mut *guard;
-        inner.completed += 1;
-        inner.errors += u64::from(is_error);
-        for (series, sample) in [
-            (&mut inner.queue_us, queue_us),
-            (&mut inner.service_us, service_us),
-        ] {
-            if series.len() == RECORDER_WINDOW {
-                series.pop_front();
-            }
-            series.push_back(sample);
-        }
-    }
-
-    fn stats(&self) -> RecorderStats {
-        let inner = lock_clean(&self.inner);
-        let summary = |series: &std::collections::VecDeque<f64>| {
-            LatencySummary::from_samples_us(&series.iter().copied().collect::<Vec<_>>())
-        };
-        RecorderStats {
-            completed: inner.completed,
-            errors: inner.errors,
-            queue: summary(&inner.queue_us),
-            service: summary(&inner.service_us),
-        }
-    }
-}
-
-/// One recent request, kept in a bounded ring for `/v1/stats` — the
-/// request-id is how a latency record is tied back to a specific request.
-#[derive(Debug, Clone)]
-struct RequestLog {
-    id: String,
-    route: &'static str,
-    status: u16,
-    queue_us: f64,
-    service_us: f64,
-}
-
-/// A finished request traveling from a scheduler worker thread back to its
-/// connection's reactor shard: the **raw** inference output plus the
-/// connection's identity (shard + token + generation — a recycled slot
-/// fails the generation check and the response is dropped, never delivered
-/// to a stranger). The worker ships data, not bytes: JSON/HTTP rendering
-/// happens on the reactor at delivery time (off-worker serialization), so
-/// the engine-holding thread takes its next job immediately.
-#[derive(Debug)]
-struct Completion {
-    shard: usize,
-    token: usize,
-    gen: u64,
-    route: &'static str,
-    status: u16,
-    request_id: String,
-    keep_alive: bool,
-    queue_us: f64,
-    service_us: f64,
-    body: ResponseBody,
-}
-
-/// What the reactor renders into the response body when it delivers a
-/// [`Completion`].
-#[derive(Debug)]
-enum ResponseBody {
-    /// Already-final JSON (error bodies — cheap to format anywhere).
-    Ready(String),
-    /// A one-shot inference result, rendered via [`result_members`].
-    Infer {
-        model: String,
-        result: InferenceResult,
-        lane: usize,
-    },
-    /// A streaming push's chunk output.
-    Push {
-        session: String,
-        model: String,
-        output: ChunkOutput,
-        chunks_pushed: u64,
-        lane: usize,
-    },
-}
-
-impl ResponseBody {
-    /// Renders the body JSON — on the reactor thread, never on an
-    /// engine-holding worker.
-    fn render(self, queue_us: f64, service_us: f64, request_id: &str) -> String {
-        match self {
-            Self::Ready(body) => body,
-            Self::Infer {
-                model,
-                result,
-                lane,
-            } => {
-                let mut members = result_members(&model, &result);
-                members.push(("lane", Json::from(lane)));
-                members.push(("queue_us", Json::from(queue_us)));
-                members.push(("service_us", Json::from(service_us)));
-                members.push(("request_id", Json::from(request_id)));
-                Json::obj(members).to_string()
-            }
-            Self::Push {
-                session,
-                model,
-                output,
-                chunks_pushed,
-                lane,
-            } => {
-                let ChunkOutput {
-                    output,
-                    stats,
-                    start_timestep,
-                    timesteps,
-                } = output;
-                Json::obj(vec![
-                    ("session", Json::from(session.as_str())),
-                    ("model", Json::from(model.as_str())),
-                    ("start_timestep", Json::from(u64::from(start_timestep))),
-                    ("timesteps", Json::from(u64::from(timesteps))),
-                    ("chunks_pushed", Json::from(chunks_pushed)),
-                    ("total_cycles", Json::from(stats.total_cycles)),
-                    ("events", events_json(&output)),
-                    ("lane", Json::from(lane)),
-                    ("queue_us", Json::from(queue_us)),
-                    ("service_us", Json::from(service_us)),
-                    ("request_id", Json::from(request_id)),
-                ])
-                .to_string()
-            }
-        }
-    }
-}
-
-/// One reactor shard's cross-thread surface: the completion queue its
-/// workers' callbacks fill, the handoff inbox the acceptor shard feeds,
-/// the waker that interrupts its poll, and the per-shard counters served
-/// under `"shards"` in `/v1/stats`.
-#[derive(Debug)]
-struct ShardHandle {
-    completions: Mutex<Vec<Completion>>,
-    handoff: Mutex<Vec<TcpStream>>,
-    waker: Waker,
-    /// Connections ever placed on this shard.
-    accepted: AtomicU64,
-    /// Connections currently open on this shard. Counted from the moment
-    /// the acceptor assigns the socket — before adoption — so a burst of
-    /// accepts spreads by real load instead of piling onto a shard whose
-    /// handoff wakeup has not run yet.
-    open: AtomicUsize,
-    /// Connections evicted by this shard's read-deadline timer.
-    evictions: AtomicU64,
-}
-
 /// Tunables fixed at server start.
 #[derive(Debug, Clone, Copy)]
 struct ServerConfig {
@@ -415,75 +168,31 @@ struct ServerConfig {
     session_capacity: usize,
 }
 
+/// One reactor shard's cross-thread surface: the completion queue the
+/// service's sink fills from worker threads, the handoff inbox the
+/// acceptor shard feeds, and the waker that interrupts its poll.
+#[derive(Debug)]
+struct ShardHandle {
+    completions: Mutex<Vec<Completion>>,
+    handoff: Mutex<Vec<TcpStream>>,
+    waker: Waker,
+}
+
 #[derive(Debug)]
 struct ServerShared {
-    /// Registration order preserved for `/v1/stats`.
-    models: Vec<(String, ModelEntry)>,
-    sessions: SessionTable,
-    recorder: LatencyRecorder,
-    routes: RouteCounters,
-    request_log: Mutex<std::collections::VecDeque<RequestLog>>,
-    next_request_id: AtomicU64,
-    started: Instant,
+    service: Arc<Service>,
+    /// One handle per reactor shard; [`ReplyTo::shard`] indexes here.
+    shards: Arc<[ShardHandle]>,
     shutting_down: AtomicBool,
-    /// One handle per reactor shard; `Completion::shard` indexes here.
-    shards: Vec<ShardHandle>,
     config: ServerConfig,
 }
 
 impl ServerShared {
-    fn log_request(
-        &self,
-        id: &str,
-        route: &'static str,
-        status: u16,
-        queue_us: f64,
-        service_us: f64,
-    ) {
-        self.routes.counter(route).hit(status);
-        let mut log = lock_clean(&self.request_log);
-        if log.len() == REQUEST_LOG_CAPACITY {
-            log.pop_front();
-        }
-        log.push_back(RequestLog {
-            id: id.to_owned(),
-            route,
-            status,
-            queue_us,
-            service_us,
-        });
-    }
-
-    /// Queues a finished response for its connection's shard and wakes that
-    /// shard's reactor.
-    fn complete(&self, completion: Completion) {
-        let shard = &self.shards[completion.shard];
-        lock_clean(&shard.completions).push(completion);
-        shard.waker.wake();
-    }
-
     /// Wakes every shard (the shutdown broadcast).
     fn wake_all(&self) {
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard.waker.wake();
         }
-    }
-
-    /// Open connections over every shard (including parked keep-alive ones
-    /// and handed-off sockets awaiting adoption).
-    fn open_connections(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.open.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Slow-loris evictions over every shard.
-    fn evictions_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
     }
 }
 
@@ -652,57 +361,36 @@ impl ServerBuilder {
         for _ in 0..shard_count {
             pipes.push((WakePipe::new()?, Poller::new()?));
         }
-        let shards: Vec<ShardHandle> = pipes
+        let shards: Arc<[ShardHandle]> = pipes
             .iter()
             .map(|(pipe, _)| ShardHandle {
-                completions: Mutex::new(Vec::new()),
-                handoff: Mutex::new(Vec::new()),
+                completions: Mutex::default(),
+                handoff: Mutex::default(),
                 waker: pipe.waker(),
-                accepted: AtomicU64::new(0),
-                open: AtomicUsize::new(0),
-                evictions: AtomicU64::new(0),
             })
             .collect();
+        let sink_shards = Arc::clone(&shards);
+        // Runs on the serving worker: queue the raw completion for its
+        // connection's shard and wake that shard's reactor, which renders it.
+        let sink = move |completion: Completion| {
+            let shard = &sink_shards[completion.reply_to().shard];
+            lock_clean(&shard.completions).push(completion);
+            shard.waker.wake();
+        };
         let config = self.config;
-        let models: Vec<(String, ModelEntry)> = self
-            .models
-            .into_iter()
-            .map(|(name, pool)| {
-                // One worker per engine: the whole fleet serves. The
-                // pool's engines must be free here (the scheduler's
-                // workers check them out for the server's lifetime).
-                let scheduler = Scheduler::new(Arc::clone(&pool), pool.lanes());
-                (
-                    name,
-                    ModelEntry {
-                        pool,
-                        scheduler,
-                        requests: AtomicU64::new(0),
-                        errors: AtomicU64::new(0),
-                        inflight: AtomicU64::new(0),
-                        shed: AtomicU64::new(0),
-                    },
-                )
-            })
-            .collect();
-        let artifacts = models
-            .iter()
-            .map(|(name, entry)| (name.clone(), Arc::clone(entry.pool.artifact())))
-            .collect();
-        let mut sessions = SessionTable::new(artifacts, config.session_capacity);
-        if let Some(dir) = self.store_dir {
-            sessions.adopt(dir, self.fsync)?;
-        }
+        let store = self.store_dir.map(|dir| (dir, self.fsync));
+        let service = Service::new(
+            self.models,
+            config.admission_limit,
+            config.session_capacity,
+            store,
+            shard_count,
+            sink,
+        )?;
         let shared = Arc::new(ServerShared {
-            models,
-            sessions,
-            recorder: LatencyRecorder::default(),
-            routes: RouteCounters::default(),
-            request_log: Mutex::new(std::collections::VecDeque::new()),
-            next_request_id: AtomicU64::new(1),
-            started: Instant::now(),
-            shutting_down: AtomicBool::new(false),
+            service: Arc::new(service),
             shards,
+            shutting_down: AtomicBool::new(false),
             config,
         });
         let mut listener = Some(listener);
@@ -757,27 +445,27 @@ impl Server {
     /// Number of warm (in-memory) streaming sessions.
     #[must_use]
     pub fn active_streams(&self) -> usize {
-        self.shared.sessions.stats().warm
+        self.shared.service.sessions.stats().warm
     }
 
     /// Number of cold (parked-to-disk) streaming sessions.
     #[must_use]
     pub fn cold_sessions(&self) -> usize {
-        self.shared.sessions.stats().cold
+        self.shared.service.sessions.stats().cold
     }
 
     /// Durability counters, when the server was started with
     /// [`ServerBuilder::durable_store`].
     #[must_use]
     pub fn durability(&self) -> Option<DurabilityStats> {
-        self.shared.sessions.stats().durability
+        self.shared.service.sessions.stats().durability
     }
 
     /// Currently open connections (including parked keep-alive ones),
     /// summed over every reactor shard.
     #[must_use]
     pub fn open_connections(&self) -> usize {
-        self.shared.open_connections()
+        self.shared.service.open_connections()
     }
 
     /// Number of reactor shards serving this server.
@@ -823,9 +511,6 @@ const WAKE_TOKEN: usize = usize::MAX - 1;
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
-    /// Slot generation at insert; completions and timers carrying an older
-    /// generation are stale.
-    gen: u64,
     parser: RequestParser,
     out: Vec<u8>,
     out_pos: usize,
@@ -849,6 +534,8 @@ struct Conn {
 
 #[derive(Debug)]
 struct Slot {
+    /// Bumped at each adoption: a completion addressed to an older
+    /// generation belongs to a connection that is gone.
     gen: u64,
     conn: Option<Conn>,
 }
@@ -962,9 +649,7 @@ impl Reactor {
         let mut inbox = lock_clean(&self.shared.shards[self.shard].handoff);
         for stream in inbox.drain(..) {
             drop(stream);
-            self.shared.shards[self.shard]
-                .open
-                .fetch_sub(1, Ordering::Relaxed);
+            self.counters().open.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -1024,7 +709,8 @@ impl Reactor {
     /// not at adoption — so one accept burst spreads by real load instead
     /// of piling onto a shard whose handoff wakeup has not run yet.
     fn place_connection(&mut self, stream: TcpStream) {
-        if self.shared.open_connections() >= self.shared.config.max_connections {
+        let service = &self.shared.service;
+        if service.open_connections() >= self.shared.config.max_connections {
             // Best effort: tell the client why before dropping it. The
             // socket is fresh, so a single nonblocking write of ~150 bytes
             // either lands in the empty send buffer or is dropped.
@@ -1035,21 +721,22 @@ impl Reactor {
             let _ = stream.write(response.as_bytes());
             return;
         }
-        let shards = &self.shared.shards;
-        let n = shards.len();
+        let counters = &service.shards;
+        let n = counters.len();
         let start = self.accept_rr % n;
         let target = (0..n)
             .map(|offset| (start + offset) % n)
-            .min_by_key(|&i| shards[i].open.load(Ordering::Relaxed))
+            .min_by_key(|&i| counters[i].open.load(Ordering::Relaxed))
             .unwrap_or(self.shard);
         self.accept_rr = (target + 1) % n;
-        shards[target].open.fetch_add(1, Ordering::Relaxed);
-        shards[target].accepted.fetch_add(1, Ordering::Relaxed);
+        counters[target].open.fetch_add(1, Ordering::Relaxed);
+        counters[target].accepted.fetch_add(1, Ordering::Relaxed);
         if target == self.shard {
             self.adopt_connection(stream);
         } else {
-            lock_clean(&shards[target].handoff).push(stream);
-            shards[target].waker.wake();
+            let shard = &self.shared.shards[target];
+            lock_clean(&shard.handoff).push(stream);
+            shard.waker.wake();
         }
     }
 
@@ -1062,9 +749,7 @@ impl Reactor {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 // Never served: release the assigned slot as the stream
                 // drops.
-                self.shared.shards[self.shard]
-                    .open
-                    .fetch_sub(1, Ordering::Relaxed);
+                self.counters().open.fetch_sub(1, Ordering::Relaxed);
                 continue;
             }
             self.adopt_connection(stream);
@@ -1076,9 +761,7 @@ impl Reactor {
     /// at placement; a socket that fails setup releases it.
     fn adopt_connection(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
-            self.shared.shards[self.shard]
-                .open
-                .fetch_sub(1, Ordering::Relaxed);
+            self.counters().open.fetch_sub(1, Ordering::Relaxed);
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -1090,7 +773,6 @@ impl Reactor {
         slot.gen += 1;
         let conn = Conn {
             stream,
-            gen: slot.gen,
             parser: RequestParser::new(),
             out: Vec::new(),
             out_pos: 0,
@@ -1121,9 +803,7 @@ impl Reactor {
         drop(conn);
         self.free.push(token);
         self.open -= 1;
-        self.shared.shards[self.shard]
-            .open
-            .fetch_sub(1, Ordering::Relaxed);
+        self.counters().open.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Syncs the poller registration with the connection's desired
@@ -1189,7 +869,7 @@ impl Reactor {
         if conn.parser.mid_request() {
             // Slow-loris eviction: the request failed to arrive within the
             // read deadline. Best-effort 408, then close.
-            self.shared.shards[self.shard]
+            self.shared.service.shards[self.shard]
                 .evictions
                 .fetch_add(1, Ordering::Relaxed);
             let body = error_body("request read deadline exceeded");
@@ -1215,7 +895,7 @@ impl Reactor {
             self.conn_readable(token);
         }
         if self.slots[token].conn.is_some() && event.writable {
-            self.conn_writable(token);
+            self.flush_conn(token);
         }
     }
 
@@ -1258,8 +938,7 @@ impl Reactor {
         if !conn.dispatched && conn.out_pos >= conn.out.len() {
             match conn.parser.try_take() {
                 Err(message) => {
-                    let body = error_body(message);
-                    self.respond_inline(token, 400, body, false, None, &[]);
+                    self.respond(token, bad_request(message));
                     return;
                 }
                 Ok(Some(request)) => {
@@ -1268,9 +947,8 @@ impl Reactor {
                         .as_ref()
                         .is_some_and(|c| c.parser.buffered() > 0)
                     {
-                        let body =
-                            error_body("pipelined requests are not supported: await the response");
-                        self.respond_inline(token, 400, body, false, None, &[]);
+                        let message = "pipelined requests are not supported: await the response";
+                        self.respond(token, bad_request(message));
                         return;
                     }
                     if let Some(conn) = self.slots[token].conn.as_mut() {
@@ -1305,10 +983,6 @@ impl Reactor {
             }
         }
         self.update_registration(token);
-    }
-
-    fn conn_writable(&mut self, token: usize) {
-        self.flush_conn(token);
     }
 
     /// Writes pending response bytes; on full flush the connection parks
@@ -1368,119 +1042,57 @@ impl Reactor {
         self.arm_deadline(token, deadline);
     }
 
-    /// Queues an inline response (no scheduler round trip) and tries to
-    /// flush it immediately.
-    fn respond_inline(
-        &mut self,
-        token: usize,
-        status: u16,
-        body: String,
-        keep_alive: bool,
-        request_id: Option<&str>,
-        extra_headers: &[(&str, &str)],
-    ) {
+    /// Frames `response` into the connection's output buffer and flushes
+    /// it; every 429 advertises `Retry-After`.
+    fn respond(&mut self, token: usize, response: Response) {
         let Some(conn) = self.slots[token].conn.as_mut() else {
             return;
         };
+        let retry_after =
+            (response.status == 429).then(|| self.shared.config.retry_after_s.to_string());
+        let extra: Vec<(&str, &str)> = retry_after
+            .iter()
+            .map(|s| ("Retry-After", s.as_str()))
+            .collect();
         append_response(
             &mut conn.out,
-            status,
-            &body,
-            keep_alive,
-            request_id,
-            extra_headers,
+            response.status,
+            &response.body,
+            response.keep_alive,
+            response.request_id.as_deref(),
+            &extra,
         );
-        conn.keep_alive_after = keep_alive;
+        conn.keep_alive_after = response.keep_alive;
+        conn.dispatched = false;
         self.flush_conn(token);
     }
 
-    /// Delivers this shard's finished dispatches: renders each raw result
-    /// into the connection's output buffer (the off-worker serialization
-    /// boundary) and flushes.
+    /// Delivers this shard's finished dispatches: the service renders each
+    /// one (the off-worker serialization boundary), and a response whose
+    /// connection survived is framed and flushed.
     fn deliver_completions(&mut self) {
         let completions: Vec<Completion> = std::mem::take(&mut *lock_clean(
             &self.shared.shards[self.shard].completions,
         ));
         for completion in completions {
-            // The request finished whether or not its connection survived:
-            // count and log it either way.
-            self.shared.log_request(
-                &completion.request_id,
-                completion.route,
-                completion.status,
-                completion.queue_us,
-                completion.service_us,
-            );
-            let Some(conn) = self
-                .slots
-                .get_mut(completion.token)
-                .and_then(|s| s.conn.as_mut())
-            else {
-                continue; // connection died while the job ran
-            };
-            if conn.gen != completion.gen {
-                continue; // slot recycled: response belongs to a dead conn
+            let (to, response) = self.shared.service.finish(completion);
+            // A dead connection's slot is empty (`respond` skips it) or was
+            // recycled to a newer generation.
+            if self.slots[to.token].gen == to.gen {
+                self.respond(to.token, response);
             }
-            conn.dispatched = false;
-            let Completion {
-                token,
-                status,
-                request_id,
-                keep_alive,
-                queue_us,
-                service_us,
-                body,
-                ..
-            } = completion;
-            let body = body.render(queue_us, service_us, &request_id);
-            append_response(
-                &mut conn.out,
-                status,
-                &body,
-                keep_alive,
-                Some(&request_id),
-                &[],
-            );
-            conn.keep_alive_after = keep_alive;
-            self.flush_conn(token);
         }
     }
 
-    // -- routing -------------------------------------------------------------
-
     fn handle_request(&mut self, token: usize, request: Request) {
-        let shared = Arc::clone(&self.shared);
-        let request_id = request.request_id.clone().unwrap_or_else(|| {
-            format!(
-                "sne-{:08x}",
-                shared.next_request_id.fetch_add(1, Ordering::Relaxed)
-            )
-        });
-        let gen = self.slots[token]
-            .conn
-            .as_ref()
-            .map(|c| c.gen)
-            .unwrap_or_default();
-        match route(&shared, self.shard, token, gen, &request, &request_id) {
-            RouteOutcome::Inline {
-                route: route_tag,
-                status,
-                body,
-                extra,
-            } => {
-                shared.log_request(&request_id, route_tag, status, 0.0, 0.0);
-                let extra_refs: Vec<(&str, &str)> =
-                    extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-                self.respond_inline(
-                    token,
-                    status,
-                    body,
-                    request.keep_alive,
-                    Some(&request_id),
-                    &extra_refs,
-                );
-            }
-            RouteOutcome::Dispatched => {
+        let reply_to = ReplyTo {
+            shard: self.shard,
+            token,
+            gen: self.slots[token].gen,
+        };
+        match self.shared.service.handle(&request, reply_to) {
+            Some(response) => self.respond(token, response),
+            None => {
                 if let Some(conn) = self.slots[token].conn.as_mut() {
                     conn.dispatched = true;
                 }
@@ -1488,527 +1100,19 @@ impl Reactor {
             }
         }
     }
-}
 
-fn error_body(message: &str) -> String {
-    Json::obj(vec![("error", Json::from(message))]).to_string()
-}
-
-enum RouteOutcome {
-    Inline {
-        route: &'static str,
-        status: u16,
-        body: String,
-        extra: Vec<(&'static str, String)>,
-    },
-    Dispatched,
-}
-
-fn inline(route: &'static str, status: u16, body: String) -> RouteOutcome {
-    RouteOutcome::Inline {
-        route,
-        status,
-        body,
-        extra: Vec::new(),
+    fn counters(&self) -> &ShardCounters {
+        &self.shared.service.shards[self.shard]
     }
 }
 
-fn route(
-    shared: &Arc<ServerShared>,
-    shard: usize,
-    token: usize,
-    gen: u64,
-    request: &Request,
-    request_id: &str,
-) -> RouteOutcome {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/infer") => handle_infer(shared, shard, token, gen, request, request_id),
-        ("GET", "/v1/stats") => inline("stats", 200, stats_body(shared)),
-        ("GET", "/healthz") => inline("healthz", 200, healthz_body(shared)),
-        (method, path) => {
-            if let Some(rest) = path.strip_prefix("/v1/stream/") {
-                if method != "POST" {
-                    return inline(
-                        "stream_push",
-                        405,
-                        error_body("streaming endpoints are POST"),
-                    );
-                }
-                if let Some(id) = rest.strip_suffix("/push") {
-                    return handle_stream_push(shared, shard, token, gen, id, request, request_id);
-                }
-                if let Some(id) = rest.strip_suffix("/close") {
-                    return handle_stream_close(shared, id);
-                }
-            }
-            inline("other", 404, error_body("unknown route"))
-        }
+/// The reactor's own answer to a malformed or pipelined request: no
+/// request id, and the connection closes after it.
+fn bad_request(message: &str) -> Response {
+    Response {
+        status: 400,
+        body: error_body(message),
+        request_id: None,
+        keep_alive: false,
     }
-}
-
-/// Decodes `{"timesteps": T, "events": [[t, ch, x, y], ...]}` into an
-/// [`EventStream`] with the model's input geometry, validating every event
-/// against it.
-fn parse_event_stream(doc: &Json, artifact: &RuntimeArtifact) -> Result<EventStream, String> {
-    let timesteps = doc
-        .get("timesteps")
-        .and_then(Json::as_u64)
-        .filter(|&t| (1..=MAX_REQUEST_TIMESTEPS).contains(&t))
-        .ok_or("missing or invalid 'timesteps' (must be 1..=65536)")? as u32;
-    let (channels, height, width) = artifact.network().input_shape();
-    let mut stream = EventStream::new(width, height, channels, timesteps);
-    let events = doc
-        .get("events")
-        .and_then(Json::as_array)
-        .ok_or("missing 'events' array")?;
-    for event in events {
-        let fields = event
-            .as_array()
-            .filter(|f| f.len() == 4)
-            .ok_or("each event must be a [t, ch, x, y] quadruple")?;
-        let int = |i: usize| fields[i].as_u64().ok_or("event fields must be integers");
-        let t = u32::try_from(int(0)?).map_err(|_| "event timestep out of range")?;
-        let narrow = |v: u64| u16::try_from(v).map_err(|_| "event address out of range");
-        let event = Event::update(t, narrow(int(1)?)?, narrow(int(2)?)?, narrow(int(3)?)?);
-        stream
-            .push(event)
-            .map_err(|e| format!("invalid event: {e}"))?;
-    }
-    Ok(stream)
-}
-
-/// Serializes the spike events of a stream as `[[t, ch, x, y], ...]`.
-fn events_json(stream: &EventStream) -> Json {
-    Json::Arr(
-        stream
-            .iter()
-            .filter(|e| e.is_spike())
-            .map(|e| {
-                Json::Arr(vec![
-                    Json::from(u64::from(e.t)),
-                    Json::from(u64::from(e.ch)),
-                    Json::from(u64::from(e.x)),
-                    Json::from(u64::from(e.y)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// The response body shared by one-shot inference and stream close: the
-/// model name plus the full [`InferenceResult`] surface the tests compare
-/// bit-exactly against direct session calls.
-fn result_members(model: &str, result: &InferenceResult) -> Vec<(&'static str, Json)> {
-    vec![
-        ("model", Json::from(model)),
-        ("predicted_class", Json::from(result.predicted_class)),
-        (
-            "output_spike_counts",
-            Json::Arr(
-                result
-                    .output_spike_counts
-                    .iter()
-                    .map(|&c| Json::from(u64::from(c)))
-                    .collect(),
-            ),
-        ),
-        ("total_cycles", Json::from(result.stats.total_cycles)),
-        ("synaptic_ops", Json::from(result.stats.synaptic_ops)),
-        ("energy_uj", Json::from(result.energy.energy_uj)),
-        ("inference_time_ms", Json::from(result.inference_time_ms)),
-        ("inference_rate", Json::from(result.inference_rate)),
-        ("mean_activity", Json::from(result.mean_activity)),
-    ]
-}
-
-/// Admission check: claims one in-flight slot of `entry`'s budget, or
-/// produces the 429 shed response for `route`.
-fn admit(
-    shared: &ServerShared,
-    entry: &ModelEntry,
-    route: &'static str,
-) -> Result<(), RouteOutcome> {
-    let limit = shared.config.admission_limit as u64;
-    // fetch_add then correct: contention-free fast path, and the transient
-    // overshoot is invisible (the slot is released before the 429 returns).
-    let occupied = entry.inflight.fetch_add(1, Ordering::AcqRel);
-    if occupied >= limit {
-        entry.inflight.fetch_sub(1, Ordering::AcqRel);
-        entry.shed.fetch_add(1, Ordering::Relaxed);
-        return Err(RouteOutcome::Inline {
-            route,
-            status: 429,
-            body: error_body("admission queue full: retry later"),
-            extra: vec![("Retry-After", shared.config.retry_after_s.to_string())],
-        });
-    }
-    Ok(())
-}
-
-fn handle_infer(
-    shared: &Arc<ServerShared>,
-    shard: usize,
-    token: usize,
-    gen: u64,
-    request: &Request,
-    request_id: &str,
-) -> RouteOutcome {
-    let doc = match Json::parse(&request.body) {
-        Ok(doc) => doc,
-        Err(e) => return inline("infer", 400, error_body(&e.to_string())),
-    };
-    let Some(model_name) = doc.get("model").and_then(Json::as_str) else {
-        return inline("infer", 400, error_body("missing 'model'"));
-    };
-    let Some(index) = shared.models.iter().position(|(n, _)| n == model_name) else {
-        return inline("infer", 404, error_body("unknown model"));
-    };
-    let entry = &shared.models[index].1;
-    entry.requests.fetch_add(1, Ordering::Relaxed);
-    let stream = match parse_event_stream(&doc, entry.pool.artifact()) {
-        Ok(stream) => stream,
-        Err(message) => {
-            entry.errors.fetch_add(1, Ordering::Relaxed);
-            return inline("infer", 400, error_body(&message));
-        }
-    };
-    if let Err(shed) = admit(shared, entry, "infer") {
-        entry.errors.fetch_add(1, Ordering::Relaxed);
-        return shed;
-    }
-    let callback_shared = Arc::clone(shared);
-    let model_name = model_name.to_owned();
-    let request_id = request_id.to_owned();
-    let keep_alive = request.keep_alive;
-    // The callback runs on the serving worker and only does the accounting
-    // — the raw result is shipped to the connection's reactor shard, which
-    // renders the response (off-worker serialization).
-    entry.scheduler.call_async(stream, None, move |record| {
-        let shared = callback_shared;
-        let entry = &shared.models[index].1;
-        entry.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared
-            .recorder
-            .record(record.queue_us, record.service_us, record.result.is_err());
-        let (status, body) = match record.result {
-            Ok(result) => (
-                200,
-                ResponseBody::Infer {
-                    model: model_name,
-                    result,
-                    lane: record.lane,
-                },
-            ),
-            Err(error) => {
-                entry.errors.fetch_add(1, Ordering::Relaxed);
-                (400, ResponseBody::Ready(error_body(&error.to_string())))
-            }
-        };
-        shared.complete(Completion {
-            shard,
-            token,
-            gen,
-            route: "infer",
-            status,
-            request_id,
-            keep_alive,
-            queue_us: record.queue_us,
-            service_us: record.service_us,
-            body,
-        });
-    });
-    RouteOutcome::Dispatched
-}
-
-/// The answer to a refused session checkout or close.
-fn session_refused(route: &'static str, error: SessionError) -> RouteOutcome {
-    let (status, message) = match error {
-        SessionError::Seq { expected, got } => {
-            // The client's view of the stream diverged (duplicate, dropped
-            // or reordered push): it resynchronizes from `chunks_pushed`.
-            let message = "chunk_seq mismatch: duplicate or out-of-order push";
-            let body = Json::obj(vec![
-                ("error", Json::from(message)),
-                ("chunks_pushed", Json::from(expected)),
-                ("got_chunk_seq", Json::from(got)),
-            ]);
-            return inline(route, 409, body.to_string());
-        }
-        SessionError::WrongModel => (400, "session is bound to a different model"),
-        SessionError::ModelRequired => (400, "first push must name a 'model'"),
-        SessionError::UnknownModel => (404, "unknown model"),
-        SessionError::UnknownSession => (404, "unknown session"),
-        SessionError::Busy => (409, "session busy: a push is in flight"),
-        SessionError::Full => (503, "session table full: close idle sessions"),
-        SessionError::Corrupt { .. } => (404, "session snapshot corrupted: session discarded"),
-        SessionError::Missing => (404, "session snapshot missing: session discarded"),
-    };
-    inline(route, status, error_body(message))
-}
-
-fn handle_stream_push(
-    shared: &Arc<ServerShared>,
-    shard: usize,
-    token: usize,
-    gen: u64,
-    id: &str,
-    request: &Request,
-    request_id: &str,
-) -> RouteOutcome {
-    let doc = match Json::parse(&request.body) {
-        Ok(doc) => doc,
-        Err(e) => return inline("stream_push", 400, error_body(&e.to_string())),
-    };
-    let chunk_seq = doc.get("chunk_seq").and_then(Json::as_u64);
-    if doc.get("chunk_seq").is_some() && chunk_seq.is_none() {
-        return inline(
-            "stream_push",
-            400,
-            error_body("invalid 'chunk_seq' (must be an unsigned integer)"),
-        );
-    }
-    let requested_model = doc.get("model").and_then(Json::as_str);
-    let (checkout, client) = match shared.sessions.checkout(id, requested_model, chunk_seq) {
-        Ok(taken) => taken,
-        Err(error) => {
-            if let SessionError::Corrupt { model } = error {
-                let errors = &shared.models[model].1.errors;
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-            return session_refused("stream_push", error);
-        }
-    };
-    let index = checkout.model();
-    let entry = &shared.models[index].1;
-    entry.requests.fetch_add(1, Ordering::Relaxed);
-    let chunk = match parse_event_stream(&doc, entry.pool.artifact()) {
-        Ok(chunk) => chunk,
-        Err(message) => {
-            entry.errors.fetch_add(1, Ordering::Relaxed);
-            shared.sessions.abandon(checkout, client);
-            return inline("stream_push", 400, error_body(&message));
-        }
-    };
-    if let Err(shed) = admit(shared, entry, "stream_push") {
-        entry.errors.fetch_add(1, Ordering::Relaxed);
-        shared.sessions.abandon(checkout, client);
-        return shed;
-    }
-
-    let callback_shared = Arc::clone(shared);
-    let session = id.to_owned();
-    let request_id = request_id.to_owned();
-    let keep_alive = request.keep_alive;
-    let preferred_lane = checkout.preferred_lane;
-    // Placed by the parked affinity hint. The callback settles the checkout
-    // even when the connection has died, so a mid-stream disconnect cannot
-    // wedge the session busy. The response is rendered later, on the
-    // connection's shard; only the write-ahead park stays on the worker,
-    // because crash recovery rests on its ordering: snapshot on disk before
-    // the session is unmarked and acknowledged.
-    entry
-        .scheduler
-        .call_push_async(client, chunk, preferred_lane, move |record| {
-            let shared = callback_shared;
-            let (model_name, entry) = &shared.models[index];
-            entry.inflight.fetch_sub(1, Ordering::AcqRel);
-            shared
-                .recorder
-                .record(record.queue_us, record.service_us, record.result.is_err());
-            let chunks_pushed = record.client.chunks_pushed();
-            let (status, body) = match record.result {
-                Ok(output) => match shared.sessions.park(checkout, record.client, record.lane) {
-                    Ok(()) => (
-                        200,
-                        ResponseBody::Push {
-                            session,
-                            model: model_name.clone(),
-                            output,
-                            chunks_pushed,
-                            lane: record.lane,
-                        },
-                    ),
-                    Err(error) => {
-                        entry.errors.fetch_add(1, Ordering::Relaxed);
-                        let message =
-                            format!("write-ahead park failed, chunk not applied: {error}");
-                        (503, ResponseBody::Ready(error_body(&message)))
-                    }
-                },
-                Err(error) => {
-                    entry.errors.fetch_add(1, Ordering::Relaxed);
-                    shared.sessions.abandon(checkout, record.client);
-                    (400, ResponseBody::Ready(error_body(&error.to_string())))
-                }
-            };
-            shared.complete(Completion {
-                shard,
-                token,
-                gen,
-                route: "stream_push",
-                status,
-                request_id,
-                keep_alive,
-                queue_us: record.queue_us,
-                service_us: record.service_us,
-                body,
-            });
-        });
-    RouteOutcome::Dispatched
-}
-
-fn handle_stream_close(shared: &ServerShared, id: &str) -> RouteOutcome {
-    let (index, client) = match shared.sessions.close(id) {
-        Ok(closed) => closed,
-        Err(error) => return session_refused("stream_close", error),
-    };
-    let (model_name, model) = &shared.models[index];
-    let summary = model.pool.artifact().summary(&client);
-    let mut members = result_members(model_name, &summary);
-    members.insert(0, ("session", Json::from(id)));
-    members.push(("closed", Json::from(true)));
-    members.push(("chunks_pushed", Json::from(client.chunks_pushed())));
-    members.push((
-        "elapsed_timesteps",
-        Json::from(u64::from(client.elapsed_timesteps())),
-    ));
-    inline("stream_close", 200, Json::obj(members).to_string())
-}
-
-fn latency_json(summary: &LatencySummary) -> Json {
-    Json::obj(vec![
-        ("count", Json::from(summary.count)),
-        ("mean", Json::from(summary.mean_us)),
-        ("p50", Json::from(summary.p50_us)),
-        ("p95", Json::from(summary.p95_us)),
-        ("p99", Json::from(summary.p99_us)),
-        ("max", Json::from(summary.max_us)),
-    ])
-}
-
-fn healthz_body(shared: &ServerShared) -> String {
-    Json::obj(vec![
-        ("status", Json::from("ok")),
-        (
-            "uptime_s",
-            Json::from(shared.started.elapsed().as_secs_f64()),
-        ),
-        ("connections", Json::from(shared.open_connections())),
-        ("shards", Json::from(shared.shards.len())),
-        ("models", Json::from(shared.models.len())),
-    ])
-    .to_string()
-}
-
-fn stats_body(shared: &ServerShared) -> String {
-    let stats = shared.recorder.stats();
-    let sessions = shared.sessions.stats();
-    let uptime_s = shared.started.elapsed().as_secs_f64();
-    let throughput_rps = if uptime_s > 0.0 {
-        stats.completed as f64 / uptime_s
-    } else {
-        0.0
-    };
-    let models = Json::Obj(
-        shared
-            .models
-            .iter()
-            .map(|(name, entry)| {
-                let sched = entry.scheduler.stats();
-                let plans = entry.pool.artifact().plans();
-                let plan_entries: usize = plans.iter().map(|p| p.table_entries()).sum();
-                let plan_bytes: usize = plans.iter().map(|p| p.table_bytes()).sum();
-                (
-                    name.clone(),
-                    Json::obj(vec![
-                        (
-                            "requests",
-                            Json::from(entry.requests.load(Ordering::Relaxed)),
-                        ),
-                        ("errors", Json::from(entry.errors.load(Ordering::Relaxed))),
-                        ("lanes", Json::from(entry.pool.lanes())),
-                        ("plan_table_entries", Json::from(plan_entries)),
-                        ("plan_table_bytes", Json::from(plan_bytes)),
-                        ("workers", Json::from(entry.scheduler.workers())),
-                        ("pending", Json::from(entry.scheduler.pending())),
-                        (
-                            "inflight",
-                            Json::from(entry.inflight.load(Ordering::Relaxed)),
-                        ),
-                        ("shed", Json::from(entry.shed.load(Ordering::Relaxed))),
-                        ("steals", Json::from(sched.steals)),
-                        ("affinity_hits", Json::from(sched.affinity_hits)),
-                        ("affinity_misses", Json::from(sched.affinity_misses)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let routes = Json::obj(vec![
-        ("infer", shared.routes.infer.json()),
-        ("stream_push", shared.routes.stream_push.json()),
-        ("stream_close", shared.routes.stream_close.json()),
-        ("stats", shared.routes.stats.json()),
-        ("healthz", shared.routes.healthz.json()),
-        ("other", shared.routes.other.json()),
-    ]);
-    let recent = Json::Arr(
-        lock_clean(&shared.request_log)
-            .iter()
-            .map(|entry| {
-                Json::obj(vec![
-                    ("id", Json::from(entry.id.as_str())),
-                    ("route", Json::from(entry.route)),
-                    ("status", Json::from(u64::from(entry.status))),
-                    ("queue_us", Json::from(entry.queue_us)),
-                    ("service_us", Json::from(entry.service_us)),
-                ])
-            })
-            .collect(),
-    );
-    let mut members = vec![
-        ("uptime_s", Json::from(uptime_s)),
-        ("completed", Json::from(stats.completed)),
-        ("errors", Json::from(stats.errors)),
-        ("throughput_rps", Json::from(throughput_rps)),
-        ("active_streams", Json::from(sessions.warm)),
-        ("connections", Json::from(shared.open_connections())),
-        ("evictions", Json::from(shared.evictions_total())),
-        (
-            "shards",
-            Json::Arr(
-                shared
-                    .shards
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("accepted", Json::from(s.accepted.load(Ordering::Relaxed))),
-                            ("open", Json::from(s.open.load(Ordering::Relaxed))),
-                            ("evictions", Json::from(s.evictions.load(Ordering::Relaxed))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("queue_latency_us", latency_json(&stats.queue)),
-        ("service_latency_us", latency_json(&stats.service)),
-        ("routes", routes),
-        ("recent_requests", recent),
-        ("models", models),
-    ];
-    if let Some(d) = sessions.durability {
-        members.push((
-            "durability",
-            Json::obj(vec![
-                ("parked_to_disk", Json::from(d.parked_to_disk)),
-                ("faulted_in", Json::from(d.faulted_in)),
-                ("recovered_on_boot", Json::from(d.recovered_on_boot)),
-                ("corrupt_discarded", Json::from(d.corrupt_discarded)),
-                ("park_failures", Json::from(d.park_failures)),
-                ("remove_failures", Json::from(d.remove_failures)),
-                ("cold_sessions", Json::from(d.cold_sessions)),
-            ]),
-        ));
-    }
-    Json::obj(members).to_string()
 }

@@ -463,7 +463,7 @@ fn fence(chunk_seq: Option<u64>, expected: u64) -> Result<(), SessionError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::path::Path;
 
     use rand::SeedableRng;
@@ -492,14 +492,14 @@ mod tests {
         table
     }
 
-    fn store_dir(tag: &str) -> PathBuf {
+    pub(crate) fn store_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sne-sessions-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
     /// The store's file for `id` with `extension` (the id is hex-encoded).
-    fn store_file(dir: &Path, id: &str, extension: &str) -> PathBuf {
+    pub(crate) fn store_file(dir: &Path, id: &str, extension: &str) -> PathBuf {
         let hex: String = id.bytes().map(|b| format!("{b:02x}")).collect();
         dir.join(format!("s{hex}.{extension}"))
     }

@@ -409,3 +409,26 @@ fn graceful_shutdown_drains_in_flight_requests() {
     }
     assert!(total_served > 0, "no request completed before shutdown");
 }
+
+#[test]
+fn deeply_nested_json_is_refused_and_the_server_stays_up() {
+    let server = ServerBuilder::new()
+        .register(
+            "tiny",
+            compiled(51),
+            SneConfig::with_slices(2),
+            1,
+            ExecStrategy::Sequential,
+        )
+        .unwrap()
+        .start("127.0.0.1:0")
+        .unwrap();
+    // 100 KB of `[`: parsed without a depth bound, it overflows the
+    // reactor thread's stack and aborts the whole process.
+    let body = "[".repeat(100_000);
+    let (status, response) = client::post(server.addr(), "/v1/infer", &body).unwrap();
+    assert_eq!(status, 400, "{response}");
+    let (status, _) = client::get(server.addr(), "/healthz").unwrap();
+    assert_eq!(status, 200);
+    server.shutdown();
+}
