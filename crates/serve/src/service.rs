@@ -541,7 +541,7 @@ impl Service {
         let (checkout, client) = match self.sessions.checkout(id, requested_model, chunk_seq) {
             Ok(taken) => taken,
             Err(error) => {
-                if let SessionError::Corrupt { model } = error {
+                if let SessionError::Corrupt { model } | SessionError::Missing { model } = error {
                     // A push to a session whose snapshot is lost is a
                     // failed request of the model the session was bound to.
                     self.models[model].requests.fetch_add(1, Ordering::Relaxed);
@@ -771,7 +771,7 @@ fn session_refused(error: SessionError) -> Answer {
         SessionError::Busy => (409, "session busy: a push is in flight"),
         SessionError::Full => (503, "session table full: close idle sessions"),
         SessionError::Corrupt { .. } => (404, "session snapshot corrupted: session discarded"),
-        SessionError::Missing => (404, "session snapshot missing: session discarded"),
+        SessionError::Missing { .. } => (404, "session snapshot missing: session discarded"),
     };
     refuse(status, message)
 }
@@ -1183,6 +1183,32 @@ mod tests {
         assert_eq!(count(&stats, &["models", "tiny", "errors"]), 1);
         assert_eq!(count(&stats, &["durability", "corrupt_discarded"]), 1);
         // The session is gone.
+        harness.refused("POST", "/v1/stream/s/close", "", 404);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_cold_snapshot_answers_404_and_counts_a_failed_request() {
+        let dir = store_dir("service-missing");
+        let harness = Harness::new(4, 1, Some(&dir));
+        let push = |id: &str| {
+            harness
+                .call(
+                    "POST",
+                    &format!("/v1/stream/{id}/push"),
+                    &body("tiny", &sample(2), ""),
+                )
+                .0
+        };
+        assert_eq!((push("s"), push("t")), (200, 200));
+        // `t` demoted `s` to the disk tier; its snapshot then vanishes.
+        std::fs::remove_file(store_file(&dir, "s", "snap")).unwrap();
+        let path = "/v1/stream/s/push";
+        harness.refused("POST", path, &body("tiny", &sample(2), ""), 404);
+        let stats = harness.stats();
+        assert_eq!(count(&stats, &["models", "tiny", "requests"]), 3);
+        assert_eq!(count(&stats, &["models", "tiny", "errors"]), 1);
+        assert_eq!(count(&stats, &["durability", "corrupt_discarded"]), 1);
         harness.refused("POST", "/v1/stream/s/close", "", 404);
         let _ = std::fs::remove_dir_all(&dir);
     }

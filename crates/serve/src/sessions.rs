@@ -76,8 +76,11 @@ pub(crate) enum SessionError {
     Corrupt {
         model: usize,
     },
-    /// The cold snapshot is gone or unreadable; the session is discarded.
-    Missing,
+    /// The cold snapshot of a session bound to `model` is gone or
+    /// unreadable; the session is discarded.
+    Missing {
+        model: usize,
+    },
 }
 
 /// One push's hold on a session, from [`SessionTable::checkout`] until it
@@ -253,7 +256,7 @@ impl SessionTable {
                     Ok(client) => (bound, Some((durable, client))),
                     Err(lost) => {
                         tiers.cold.remove(id);
-                        if lost != SessionError::Missing {
+                        if !matches!(lost, SessionError::Missing { .. }) {
                             durable.remove(id);
                         }
                         return Err(lost);
@@ -419,7 +422,7 @@ impl SessionTable {
                 .1
                 .restore_client(&bytes)
                 .map_err(|_| SessionError::Corrupt { model }),
-            Ok(None) | Err(_) => Err(SessionError::Missing),
+            Ok(None) | Err(_) => Err(SessionError::Missing { model }),
         };
         if restored.is_err() {
             durable.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
@@ -682,7 +685,7 @@ pub(crate) mod tests {
         assert_eq!(refused, SessionError::Corrupt { model: 0 });
         assert!(!corrupt.exists());
         let refused = table.checkout("missing", None, None).unwrap_err();
-        assert_eq!(refused, SessionError::Missing);
+        assert_eq!(refused, SessionError::Missing { model: 0 });
         let stats = durability(&table);
         assert_eq!((stats.corrupt_discarded, stats.cold_sessions), (2, 1));
         for id in ["corrupt", "missing"] {

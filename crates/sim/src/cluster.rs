@@ -213,12 +213,22 @@ impl Cluster {
     ///
     /// Panics if the snapshot was sized for a different neuron count.
     pub fn snapshot_into(&self, mem: &[i16], out: &mut ClusterState) {
+        self.snapshot_bookkeeping_into(out);
+        out.states.copy_from_slice(&mem[..self.neurons]);
+    }
+
+    /// The bookkeeping half of [`Cluster::snapshot_into`]: everything but
+    /// the membranes, which the caller copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was sized for a different neuron count.
+    pub(crate) fn snapshot_bookkeeping_into(&self, out: &mut ClusterState) {
         assert_eq!(
             out.states.len(),
             self.neurons,
             "cluster snapshot neuron count mismatch"
         );
-        out.states.copy_from_slice(&mem[..self.neurons]);
         out.pending_leak_steps = self.pending_leak_steps;
         out.dirty = self.dirty;
     }
@@ -230,12 +240,22 @@ impl Cluster {
     /// Panics if the snapshot was taken from a cluster with a different
     /// neuron count.
     pub fn restore(&mut self, mem: &mut [i16], state: &ClusterState) {
+        self.restore_bookkeeping(state);
+        mem[..self.neurons].copy_from_slice(&state.states);
+    }
+
+    /// The bookkeeping half of [`Cluster::restore`]: everything but the
+    /// membranes, which the caller places.
+    ///
+    /// # Panics
+    ///
+    /// As [`Cluster::restore`].
+    pub(crate) fn restore_bookkeeping(&mut self, state: &ClusterState) {
         assert_eq!(
             state.states.len(),
             self.neurons,
             "cluster snapshot neuron count mismatch"
         );
-        mem[..self.neurons].copy_from_slice(&state.states);
         self.pending_leak_steps = state.pending_leak_steps;
         self.dirty = state.dirty;
         self.max_bound = state.states.iter().copied().max().unwrap_or(0);
@@ -253,13 +273,26 @@ impl Cluster {
 
     /// The cold half of [`Cluster::catch_up`]: materializes the owed leak.
     fn catch_up_cold(&mut self, mem: &mut [i16], params: LifHardwareParams, kernel: Kernel) {
-        if params.leak != 0 {
-            let total = i32::from(params.leak) * self.pending_leak_steps as i32;
+        let total = self.take_owed_leak(params);
+        if total != 0 {
             kernel.apply_leak(self.span(mem), total);
-            // Clamping is monotone, so the shifted bound still dominates.
-            self.max_bound = clamp_state(i32::from(self.max_bound) - total);
         }
+    }
+
+    /// The bookkeeping half of the leak catch-up: settles the owed leak
+    /// steps and returns their leak total, which the caller subtracts
+    /// (saturating) from this cluster's membranes — 0 when nothing is owed.
+    #[inline]
+    pub(crate) fn take_owed_leak(&mut self, params: LifHardwareParams) -> i32 {
+        if self.pending_leak_steps == 0 || params.leak == 0 {
+            self.pending_leak_steps = 0;
+            return 0;
+        }
+        let total = i32::from(params.leak) * self.pending_leak_steps as i32;
+        // Clamping is monotone, so the shifted bound still dominates.
+        self.max_bound = clamp_state(i32::from(self.max_bound) - total);
         self.pending_leak_steps = 0;
+        total
     }
 
     /// Upper bound on the maximum membrane after the owed leak plus
@@ -388,6 +421,31 @@ impl Cluster {
         } else {
             false
         }
+    }
+
+    /// The bookkeeping half of a [`Cluster::scan_walk`] whose neuron walk
+    /// runs in the pass arena's fused sweep: settles the owed leak and
+    /// returns the leak total of the owed steps plus this scan's step,
+    /// capped to `±256` (enough to pin any membrane to a rail). One clamp of
+    /// the fused total equals the walk's two (catch-up, then leak step):
+    /// both totals carry the leak's sign. Only valid after
+    /// [`Cluster::scan_elides`] returned `false`; the sweep's result comes
+    /// back through [`Cluster::end_swept_scan`].
+    #[inline]
+    pub(crate) fn begin_swept_scan(&mut self, params: LifHardwareParams) -> i16 {
+        self.counters.fire_scans += 1;
+        self.dirty = false;
+        let steps = i64::from(self.pending_leak_steps) + 1;
+        self.pending_leak_steps = 0;
+        (i64::from(params.leak) * steps).clamp(-256, 256) as i16
+    }
+
+    /// Commits a swept scan's result: the exact maximum membrane after the
+    /// sweep (it visited every neuron) and the spikes it emitted.
+    #[inline]
+    pub(crate) fn end_swept_scan(&mut self, max: i16, spikes: u64) {
+        self.max_bound = max;
+        self.counters.spikes += spikes;
     }
 
     /// The per-neuron half of an executing fire scan: materializes the owed

@@ -10,6 +10,14 @@
 //! crossbar: their word counts, transfers and stalls are priced by formula
 //! (see `dma_stall`).
 //!
+//! A planned convolution on [`Kernel::Blocked`] runs each mapping pass on
+//! the engine's pass arena (DESIGN.md §12): membranes interleaved by output
+//! channel, one walker over all of the pass's slices on the calling thread,
+//! so one input event updates every channel of the pass in whole vectors.
+//! Every other layer runs each pass as one worker unit per slice
+//! ([`crate::worker`]) fanned out by the engine's [`ExecStrategy`]. Both
+//! fill the same per-slice records, merged by one deterministic reduction.
+//!
 //! Timing model (cycle-approximate, calibrated on the paper's figures):
 //!
 //! * one consumed `UPDATE_OP` costs [`SneConfig::cycles_per_event`] cycles
@@ -25,11 +33,12 @@
 use sne_event::stream::Geometry;
 use sne_event::{Event, EventFormat, EventOp, EventStream};
 
+use crate::arena::{self, PassArena};
 use crate::collector::Collector;
 use crate::config::SneConfig;
 use crate::exec::ExecStrategy;
 use crate::mapping::LayerMapping;
-use crate::plan::{EventRow, LayerPlan, StencilTable};
+use crate::plan::{EventRow, LayerPlan};
 use crate::simd::Kernel;
 use crate::slice::Slice;
 use crate::state::LayerState;
@@ -77,9 +86,9 @@ pub struct Engine {
     /// input chunk in place, so steady-state streaming does not reallocate
     /// it.
     op_scratch: Vec<Event>,
-    /// Reusable per-run stencil table of the planned datapath (rebuilt by
-    /// every planned run on the blocked kernel, capacity kept).
-    stencil_scratch: StencilTable,
+    /// The channel-interleaved membrane arena planned convolutions run on
+    /// with the blocked kernel ([`crate::arena`]); allocated on first use.
+    arena: PassArena,
 }
 
 impl Engine {
@@ -122,7 +131,7 @@ impl Engine {
             kernel: Kernel::auto(),
             config_validated: false,
             op_scratch: Vec::new(),
-            stencil_scratch: StencilTable::default(),
+            arena: PassArena::default(),
             config,
         }
     }
@@ -290,12 +299,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Executes a layer run as a sequence of mapping passes, each decomposed
-    /// into independent per-slice worker units ([`crate::worker`]) fanned out
-    /// by the engine's [`ExecStrategy`] and merged back by a deterministic
-    /// slice-order reduction ([`Engine::reduce_pass`]). The strategy affects
-    /// wall-clock time only — outputs, statistics and traces are
-    /// bit-identical for every strategy.
+    /// Executes a layer run as a sequence of mapping passes, each run on
+    /// the pass arena ([`crate::arena`], a planned convolution on the blocked
+    /// kernel) or decomposed into independent per-slice worker units
+    /// ([`crate::worker`]) fanned out by the engine's [`ExecStrategy`], and
+    /// merged back by a deterministic slice-order reduction
+    /// ([`Engine::reduce_pass`]). The strategy affects wall-clock time only
+    /// — outputs, statistics and traces are bit-identical for every
+    /// strategy.
     fn run_layer_inner(
         &mut self,
         mapping: &LayerMapping,
@@ -362,28 +373,26 @@ impl Engine {
         if self.records.len() != self.config.num_slices {
             self.records = vec![SliceRecord::default(); self.config.num_slices];
         }
+        // A planned convolution on the blocked kernel runs each pass on the
+        // pass arena when its geometry permits; everything else runs the
+        // per-slice span walk.
+        let conv = plan
+            .filter(|_| self.kernel == Kernel::Blocked)
+            .and_then(LayerPlan::conv_taps)
+            .filter(|conv| arena::fits(conv, &self.config));
         // Resolve every UPDATE_OP's plan row once per run; the slice workers
         // of every pass then index instead of repeating the border-class
         // lookup per (event, slice, pass).
-        let event_rows: Option<Vec<EventRow<'_>>> = plan.map(|p| {
+        let event_rows: Option<Vec<EventRow<'_>>> = plan.filter(|_| conv.is_none()).map(|p| {
             op_sequence
                 .iter()
                 .filter(|op| op.op == EventOp::Update)
                 .map(|op| p.event_row(op))
                 .collect()
         });
-        // On the blocked kernel, also resolve each conv event's in-plane
-        // kernel rows once per run: the slices then walk whole planes per
-        // event instead of one span per (output channel, kernel row).
-        let mut stencils = std::mem::take(&mut self.stencil_scratch);
-        let stencil_rows = event_rows
-            .as_deref()
-            .filter(|_| self.kernel == Kernel::Blocked);
-        stencils.build(stencil_rows.unwrap_or(&[]), self.config.neurons_per_cluster);
         let ctx = WorkerContext {
             mapping,
             rows: event_rows.as_deref(),
-            stencils: &stencils,
             ops: &op_sequence,
             params: mapping.params(),
             clock_gating: self.config.clock_gating,
@@ -406,44 +415,20 @@ impl Engine {
                 });
             }
 
-            // Fan out: one worker unit per slice — the slice, its record and
-            // its disjoint share of the persistent state. No shared mutable
-            // state, so the units can run on any host schedule.
-            let mut state_shares: Vec<Option<&mut [crate::cluster::ClusterState]>> =
-                match state.as_deref_mut() {
-                    Some(st) => st.pass_slices_mut(pass).map(Some).collect(),
-                    None => (0..self.config.num_slices).map(|_| None).collect(),
-                };
-            let mut tasks: Vec<SliceTask<'_>> = self
-                .slices
-                .iter_mut()
-                .zip(self.records.iter_mut())
-                .zip(state_shares.drain(..))
-                .enumerate()
-                .map(|(s, ((slice, record), share))| {
-                    let base = pass * per_pass + s * neurons_per_slice;
-                    let count = neurons_per_slice.min(total_neurons.saturating_sub(base));
-                    SliceTask {
-                        slice,
-                        record,
-                        state: share,
-                        base: base.min(total_neurons),
-                        count,
-                    }
-                })
-                .collect();
-            // Fanning a pass out only pays when there is enough work to
-            // amortize the scoped-thread spawns; tiny passes (e.g. the final
-            // dense classifier of a streamed chunk) take the sequential path.
-            // Results are bit-identical either way — the gate only moves
-            // host wall-clock time.
-            let exec = if op_sequence.len() * self.config.num_slices < Self::MIN_PARALLEL_UNITS {
-                ExecStrategy::Sequential
+            if let Some(conv) = &conv {
+                // One walker over every slice of the pass, on this thread.
+                self.arena.run_pass(
+                    conv,
+                    &self.config,
+                    pass,
+                    &mut self.slices,
+                    &mut self.records,
+                    state.as_deref_mut(),
+                    &ctx,
+                );
             } else {
-                self.exec
-            };
-            exec.run(&mut tasks, |_, task| run_slice_pass(task, &ctx));
-            drop(tasks);
+                self.run_slice_passes(pass, per_pass, total_neurons, state.as_deref_mut(), &ctx);
+            }
 
             stats.streamer_reads += op_sequence.len() as u64;
             stats.stall_cycles += in_stalls;
@@ -463,8 +448,7 @@ impl Engine {
             );
         }
 
-        // Hand the scratch buffers back for the next run.
-        self.stencil_scratch = stencils;
+        // Hand the scratch buffer back for the next run.
         self.op_scratch = op_sequence;
 
         // The output DMA streams every merged output event out, one word
@@ -492,6 +476,54 @@ impl Engine {
             stats,
             timestep_cycles,
         })
+    }
+
+    /// Runs one mapping pass as one worker unit per slice — the slice, its
+    /// record and its disjoint share of the persistent state — fanned out by
+    /// the engine's [`ExecStrategy`]. No unit shares mutable state, so they
+    /// can run on any host schedule.
+    fn run_slice_passes(
+        &mut self,
+        pass: usize,
+        per_pass: usize,
+        total_neurons: usize,
+        state: Option<&mut LayerState>,
+        ctx: &WorkerContext<'_>,
+    ) {
+        let neurons_per_slice = self.config.neurons_per_slice();
+        let mut state_shares: Vec<Option<&mut [crate::cluster::ClusterState]>> = match state {
+            Some(st) => st.pass_slices_mut(pass).map(Some).collect(),
+            None => (0..self.config.num_slices).map(|_| None).collect(),
+        };
+        let mut tasks: Vec<SliceTask<'_>> = self
+            .slices
+            .iter_mut()
+            .zip(self.records.iter_mut())
+            .zip(state_shares.drain(..))
+            .enumerate()
+            .map(|(s, ((slice, record), share))| {
+                let base = pass * per_pass + s * neurons_per_slice;
+                let count = neurons_per_slice.min(total_neurons.saturating_sub(base));
+                SliceTask {
+                    slice,
+                    record,
+                    state: share,
+                    base: base.min(total_neurons),
+                    count,
+                }
+            })
+            .collect();
+        // Fanning a pass out only pays when there is enough work to
+        // amortize the scoped-thread spawns; tiny passes (e.g. the final
+        // dense classifier of a streamed chunk) take the sequential path.
+        // Results are bit-identical either way — the gate only moves host
+        // wall-clock time.
+        let exec = if ctx.ops.len() * self.config.num_slices < Self::MIN_PARALLEL_UNITS {
+            ExecStrategy::Sequential
+        } else {
+            self.exec
+        };
+        exec.run(&mut tasks, |_, task| run_slice_pass(task, ctx));
     }
 
     /// The deterministic reduction of one pass: walks the op sequence once,

@@ -117,6 +117,7 @@ pub mod stats;
 pub mod trace;
 pub mod worker;
 
+mod arena;
 mod error;
 
 pub use config::SneConfig;

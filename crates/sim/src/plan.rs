@@ -34,6 +34,11 @@
 //! reports that logical size while [`LayerPlan::table_bytes`] reports the
 //! deduplicated resident footprint.
 //!
+//! A convolution plan also carries the engine's pass arena's tap table
+//! (DESIGN.md §12): the kernel transposed to
+//! `[in_channel][ky][k - 1 - kx][out_channel]`, so the weights one tap adds
+//! to every output channel of a pass are one contiguous row.
+//!
 //! **The plan is a host-side optimisation only.** It changes neither the
 //! modelled cycles nor any output: the naive mapping walk remains the
 //! reference oracle, and `tests/plan_equivalence.rs` pins plan ≡ naive
@@ -99,107 +104,6 @@ pub enum EventRow<'a> {
     },
 }
 
-/// One kernel row of a convolution event, resolved in-plane against the
-/// engine's cluster size (see [`StencilTable`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StencilRow {
-    /// In-plane index of the row's lowest neuron (the same in every output
-    /// channel's plane).
-    pub start: u32,
-    /// The cluster holding the whole row, counted from the plane's first
-    /// cluster.
-    pub cluster: u32,
-}
-
-/// Where one `UPDATE_OP`'s rows sit in a [`StencilTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Stencil {
-    /// Index of the event's first row in [`StencilTable::rows`]; the event
-    /// has [`EventRow::Conv::rows_per_oc`] rows.
-    pub first: u32,
-    /// Distinct clusters the rows touch within one plane; 0 when the event
-    /// has no stencil (a row straddles a cluster boundary, or the event is
-    /// not a convolution).
-    pub clusters: u32,
-}
-
-/// The stencils of one run's `UPDATE_OP`s: each event's kernel rows resolved
-/// once to their in-plane start and cluster, so the fused slice datapath can
-/// walk a slice's whole output-channel planes at stride `plane` instead of
-/// one span per (output channel, kernel row).
-///
-/// A stencil is exact only where every plane is a whole number of clusters
-/// (`plane % neurons_per_cluster == 0`): then a row's cluster within its
-/// plane is the same for every output channel, and the clusters an event
-/// touches in one plane are the distinct clusters of its rows. The table
-/// stays empty otherwise, and for dense layers.
-#[derive(Debug, Clone, Default)]
-pub struct StencilTable {
-    /// One entry per `UPDATE_OP` of the run, in op order (empty when no
-    /// stencil applies to the layer).
-    pub events: Vec<Stencil>,
-    /// Every event's rows back to back, in the plan's row order (descending
-    /// neuron address, so equal clusters are adjacent).
-    pub rows: Vec<StencilRow>,
-}
-
-impl StencilTable {
-    /// Rebuilds the table for `rows` (one run's resolved event rows) on
-    /// clusters of `neurons_per_cluster` neurons, keeping the capacity.
-    pub fn build(&mut self, rows: &[EventRow<'_>], neurons_per_cluster: usize) {
-        self.events.clear();
-        self.rows.clear();
-        let whole_clusters = matches!(
-            rows.first(),
-            Some(EventRow::Conv { plane, .. }) if plane % neurons_per_cluster == 0
-        );
-        if !whole_clusters {
-            return;
-        }
-        self.events.reserve(rows.len());
-        for row in rows {
-            let EventRow::Conv {
-                row_offsets,
-                rows_per_oc,
-                taps_per_row,
-                event_base,
-                ..
-            } = *row
-            else {
-                self.events.push(Stencil::default());
-                continue;
-            };
-            let first = self.rows.len();
-            let mut clusters = 0u32;
-            // Output channel 0's spans: its plane starts at neuron 0, so the
-            // span offsets are in-plane offsets.
-            for &offset in &row_offsets[..rows_per_oc] {
-                let start = (event_base + i64::from(offset)) as usize;
-                let cluster = start / neurons_per_cluster;
-                if start % neurons_per_cluster + taps_per_row > neurons_per_cluster {
-                    // The row straddles a cluster boundary: span walk.
-                    clusters = 0;
-                    break;
-                }
-                let previous = self.rows[first..].last().map(|p| p.cluster as usize);
-                debug_assert!(previous.unwrap_or(cluster) >= cluster);
-                clusters += u32::from(previous != Some(cluster));
-                self.rows.push(StencilRow {
-                    start: start as u32,
-                    cluster: cluster as u32,
-                });
-            }
-            if clusters == 0 {
-                self.rows.truncate(first);
-            }
-            self.events.push(Stencil {
-                first: first as u32,
-                clusters,
-            });
-        }
-    }
-}
-
 /// The span table of one border class — shared by every input channel (the
 /// offsets and pool-relative starts do not depend on the channel).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -242,6 +146,17 @@ enum PlanKind {
         weight_pool: Vec<i8>,
         /// Pool stride of one input channel (`out_channels * k * k`).
         pool_stride: usize,
+        /// Kernel size `k`.
+        kernel: usize,
+        /// Output channels.
+        out_channels: usize,
+        /// The pass arena's tap table: the kernel transposed to
+        /// `[in_channel][ky][k - 1 - kx][out_channel]`, so the weights one
+        /// tap adds to every channel of a pass are one contiguous row, and
+        /// (kx reversed, as in the pool) a kernel row's taps ascend with
+        /// output position; plus [`BLOCK_LANES`] bytes of padding for the
+        /// last row's vector step.
+        tap_weights: Vec<i8>,
     },
     /// Fully-connected layer: one transposed weight row per input position.
     Dense {
@@ -363,19 +278,20 @@ impl LayerPlan {
     }
 
     /// Bytes actually resident in the compiled tables after span-descriptor
-    /// deduplication: the canonical weight pool plus the per-border-class
-    /// offset/start tables and the axis class indices.
+    /// deduplication: the canonical weight pool, the pass arena's tap table,
+    /// the per-border-class offset/start tables and the axis class indices.
     #[must_use]
     pub fn table_bytes(&self) -> usize {
         match &self.kind {
             PlanKind::Conv {
                 rows,
                 weight_pool,
+                tap_weights,
                 y_class,
                 x_class,
                 ..
             } => {
-                weight_pool.len() * std::mem::size_of::<i8>()
+                (weight_pool.len() + tap_weights.len()) * std::mem::size_of::<i8>()
                     + rows
                         .iter()
                         .map(|r| {
@@ -509,6 +425,47 @@ impl LayerPlan {
     }
 }
 
+/// A convolution plan's view for the engine's pass arena
+/// (`crate::arena`): the layer geometry and the tap table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvTaps<'a> {
+    /// Feature-map width (input and output).
+    pub(crate) width: usize,
+    /// Feature-map height (input and output).
+    pub(crate) height: usize,
+    /// Kernel size `k`.
+    pub(crate) kernel: usize,
+    /// Output channels.
+    pub(crate) out_channels: usize,
+    /// `[in_channel][ky][k - 1 - kx][out_channel]` weights plus
+    /// [`BLOCK_LANES`] bytes of padding.
+    pub(crate) weights: &'a [i8],
+}
+
+impl LayerPlan {
+    /// The pass arena's view of a convolution plan (`None` for dense
+    /// layers).
+    pub(crate) fn conv_taps(&self) -> Option<ConvTaps<'_>> {
+        match &self.kind {
+            PlanKind::Conv {
+                plane,
+                width,
+                kernel,
+                out_channels,
+                tap_weights,
+                ..
+            } => Some(ConvTaps {
+                width: *width,
+                height: plane / width,
+                kernel: *kernel,
+                out_channels: *out_channels,
+                weights: tap_weights,
+            }),
+            PlanKind::Dense { .. } => None,
+        }
+    }
+}
+
 /// Distinct clipped kernel ranges along one axis: `classes[class] = (lo, hi)`
 /// is the inclusive valid tap range, `index[pos] = class`.
 fn axis_classes(extent: u16, kernel: u16) -> (Vec<(u16, u16)>, Vec<u32>) {
@@ -559,6 +516,21 @@ fn build_conv(input: MapShape, out_channels: u16, kernel: u16, weights: &[i8]) -
             }
         }
     }
+    // The pass arena's table: one contiguous row of output-channel weights
+    // per (input channel, ky, k - 1 - kx), padded like the pool.
+    let oc_count = usize::from(out_channels);
+    let mut tap_weights = vec![0i8; in_channels * k * k * oc_count + BLOCK_LANES];
+    for ch in 0..in_channels {
+        for ky in 0..k {
+            for rk in 0..k {
+                let kx = k - 1 - rk;
+                for oc in 0..oc_count {
+                    tap_weights[((ch * k + ky) * k + rk) * oc_count + oc] =
+                        weights[((oc * in_channels + ch) * k + ky) * k + kx];
+                }
+            }
+        }
+    }
     // The span geometry (offsets, pool starts) depends only on the border
     // class, never on the input channel: one table per (y class, x class).
     let mut rows = Vec::with_capacity(y_ranges.len() * x_ranges.len());
@@ -602,6 +574,9 @@ fn build_conv(input: MapShape, out_channels: u16, kernel: u16, weights: &[i8]) -
         rows,
         weight_pool,
         pool_stride,
+        kernel: k,
+        out_channels: oc_count,
+        tap_weights,
     }
 }
 
@@ -831,61 +806,6 @@ mod tests {
         let dense_twin = dense(MapShape::new(1, 4, 4), 2, 1);
         assert!(!plan.matches(&dense_twin));
         assert!(!plan.matches_geometry(&dense_twin));
-    }
-
-    #[test]
-    fn stencils_resolve_in_plane_rows_and_reject_straddles() {
-        let resolve = |mapping: &LayerMapping, events: &[Event], npc: usize| {
-            let plan = LayerPlan::build(mapping);
-            let rows: Vec<EventRow<'_>> = events.iter().map(|e| plan.event_row(e)).collect();
-            let mut table = StencilTable::default();
-            table.build(&rows, npc);
-            table
-        };
-        let row = |start, cluster| StencilRow { start, cluster };
-
-        // 4x4 planes, 8-neuron clusters (two image rows each): the event at
-        // (x 1, y 1) has rows at y 2, 1, 0 starting one column left of it.
-        let four = conv(MapShape::new(1, 4, 4), 2, 3, 1);
-        let table = resolve(&four, &[Event::update(0, 0, 1, 1)], 8);
-        assert_eq!(
-            table.events[0],
-            Stencil {
-                first: 0,
-                clusters: 2
-            }
-        );
-        assert_eq!(table.rows, [row(8, 1), row(4, 0), row(0, 0)]);
-
-        // Width 6: the row at y 1 covers neurons 6..9 and straddles the
-        // cluster boundary at 8, so the event keeps the span walk; the
-        // plane (24) is still a whole number of clusters.
-        let six = conv(MapShape::new(1, 4, 6), 1, 3, 1);
-        let table = resolve(
-            &six,
-            &[Event::update(0, 0, 1, 1), Event::update(0, 0, 1, 3)],
-            8,
-        );
-        assert_eq!(table.events[0].clusters, 0);
-        assert_eq!(
-            table.events[1],
-            Stencil {
-                first: 0,
-                clusters: 2
-            }
-        );
-        assert_eq!(table.rows, [row(18, 2), row(12, 1)]); // y 4 is clipped
-
-        // Planes that are not a whole number of clusters, and dense layers,
-        // get no stencils at all.
-        let odd = conv(MapShape::new(1, 3, 5), 1, 3, 1);
-        assert!(resolve(&odd, &[Event::update(0, 0, 1, 1)], 8)
-            .events
-            .is_empty());
-        let fc = dense(MapShape::new(1, 4, 4), 8, 1);
-        assert!(resolve(&fc, &[Event::update(0, 0, 1, 1)], 8)
-            .events
-            .is_empty());
     }
 
     #[test]

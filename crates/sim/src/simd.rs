@@ -25,14 +25,19 @@
 //! `tests/kernel_equivalence.rs` pins it over random geometries, saturation
 //! storms and span lengths straddling the block width.
 //!
+//! Beside the span kernel, four crate-private lane helpers
+//! (`accumulate_lanes`, `leak_lanes`, `sweep_lanes`, `transpose_lanes`)
+//! drive the engine's channel-interleaved pass arena (DESIGN.md §12), where
+//! one vector holds one in-plane position of [`BLOCK_LANES`] clusters, one
+//! per output channel. They run SSE2 on x86_64 and a scalar body elsewhere,
+//! and the scalar bodies are their test oracles.
+//!
 //! Host-optimisation boundary: everything here affects **host wall-clock
 //! only**. Modelled cycles, synaptic-op counts, traces and energy are
 //! accounted per span/tap by the caller and are identical whichever kernel
 //! runs (DESIGN.md §12).
 
 use serde::{Deserialize, Serialize};
-
-use crate::plan::StencilRow;
 
 /// Number of `i16` lanes one blocked step processes (one 128-bit SSE2
 /// vector).
@@ -183,58 +188,6 @@ impl Kernel {
         }
     }
 
-    /// The stencil form of [`Kernel::accumulate_span_max`]: accumulates the
-    /// `taps`-wide kernel rows of one event in one output-channel plane that
-    /// all lie in **one cluster**, and folds their resulting states into
-    /// that cluster's `lanes`. Row `i` starts at membrane
-    /// `plane_start + rows[i].start` and takes the weights
-    /// `pool[weight_starts[i]..][..taps]`.
-    ///
-    /// The blocked path applies each row (up to [`BLOCK_LANES`] taps) as one
-    /// masked vector step and keeps the rows' running maximum in a register,
-    /// folding it into `lanes` once per call. Like the masked tail of
-    /// [`Kernel::accumulate_span_max`] it reads and rewrites, unchanged, up
-    /// to [`BLOCK_LANES`] lanes from each row start and reads that many
-    /// weight bytes, so `mem` and `pool` need that much room (the arena and
-    /// the plan's pool carry it as padding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row or its vector step exceeds `mem` or `pool`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_rows_max(
-        self,
-        mem: &mut [i16],
-        plane_start: usize,
-        rows: &[StencilRow],
-        weight_starts: &[u32],
-        pool: &[i8],
-        taps: usize,
-        lanes: &mut [i16; BLOCK_LANES],
-    ) {
-        match self {
-            Self::Scalar => {
-                for (row, &start) in rows.iter().zip(weight_starts) {
-                    let at = plane_start + row.start as usize;
-                    let start = start as usize;
-                    let row_max =
-                        accumulate_span_scalar(&mut mem[at..at + taps], &pool[start..start + taps]);
-                    lanes[0] = lanes[0].max(row_max);
-                }
-            }
-            Self::Blocked => accumulate_rows_max_blocked(
-                mem,
-                plane_start,
-                rows,
-                weight_starts,
-                pool,
-                taps,
-                lanes,
-            ),
-        }
-    }
-
     /// Reduces a per-lane running maximum accumulated by
     /// [`Kernel::accumulate_span_max`] to the window maximum: the plain
     /// maximum over the [`BLOCK_LANES`] lanes, bit-identical across kernels
@@ -344,10 +297,90 @@ fn fire_walk_scalar(mem: &mut [i16], leak: i16, threshold: i16, out: &mut Vec<us
     bound
 }
 
+/// Scalar `accumulate_lanes`, the oracle of the pass arena's update step.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn accumulate_lanes_scalar(
+    rows: &mut [i16],
+    stride: usize,
+    weights: &[i8],
+    weight_stride: usize,
+    taps: usize,
+    lanes: usize,
+    max: &mut [i16],
+) {
+    let padded = lanes.next_multiple_of(BLOCK_LANES);
+    for tap in 0..taps {
+        let row = &mut rows[tap * stride..][..padded];
+        let tap_weights = &weights[tap * weight_stride..];
+        for (l, (state, lane_max)) in row.iter_mut().zip(&mut max[..padded]).enumerate() {
+            let w = if l < lanes {
+                i16::from(tap_weights[l])
+            } else {
+                0
+            };
+            *state = (*state + w).clamp(i16::from(i8::MIN), i16::from(i8::MAX));
+            *lane_max = (*lane_max).max(*state);
+        }
+    }
+}
+
+/// Scalar `transpose_lanes`.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn transpose_lanes_scalar(
+    src: &[i16],
+    src_stride: usize,
+    dst: &mut [i16],
+    dst_stride: usize,
+    rows: usize,
+    cols: usize,
+) {
+    for row in 0..rows {
+        for col in 0..cols {
+            dst[col * dst_stride + row] = src[row * src_stride + col];
+        }
+    }
+}
+
+/// Scalar `leak_lanes`.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn leak_lanes_scalar(block: &mut [i16], stride: usize, rows: usize, totals: &[i16; BLOCK_LANES]) {
+    for row in 0..rows {
+        for (state, &total) in block[row * stride..][..BLOCK_LANES].iter_mut().zip(totals) {
+            *state = clamp_state(i32::from(*state) - i32::from(total));
+        }
+    }
+}
+
+/// Scalar `sweep_lanes`: the fire-scan loop of [`fire_walk_scalar`] with a
+/// per-lane leak total and threshold.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn sweep_lanes_scalar(
+    block: &mut [i16],
+    stride: usize,
+    rows: usize,
+    totals: &[i16; BLOCK_LANES],
+    thresholds: &[i16; BLOCK_LANES],
+    fired: &mut [u64; BLOCK_LANES],
+) -> [i16; BLOCK_LANES] {
+    assert!(rows <= 64, "a sweep covers at most 64 rows");
+    let mut max = LANE_FLOOR;
+    *fired = [0; BLOCK_LANES];
+    for row in 0..rows {
+        for (l, state) in block[row * stride..][..BLOCK_LANES].iter_mut().enumerate() {
+            *state = clamp_state(i32::from(*state) - i32::from(totals[l]));
+            if *state >= thresholds[l] {
+                *state = 0;
+                fired[l] |= 1 << row;
+            }
+            max[l] = max[l].max(*state);
+        }
+    }
+    max
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 mod blocked {
     use super::BLOCK_LANES;
-    use crate::plan::StencilRow;
 
     /// Without a vector unit the blocked kernel *is* the scalar oracle.
     #[inline]
@@ -365,27 +398,6 @@ mod blocked {
     ) {
         let span_max = super::accumulate_span_scalar(&mut mem[start..start + len], &weights[..len]);
         lanes[0] = lanes[0].max(span_max);
-    }
-
-    #[inline]
-    pub(super) fn accumulate_rows_max_blocked(
-        mem: &mut [i16],
-        plane_start: usize,
-        rows: &[StencilRow],
-        weight_starts: &[u32],
-        pool: &[i8],
-        taps: usize,
-        lanes: &mut [i16; BLOCK_LANES],
-    ) {
-        super::Kernel::Scalar.accumulate_rows_max(
-            mem,
-            plane_start,
-            rows,
-            weight_starts,
-            pool,
-            taps,
-            lanes,
-        );
     }
 
     #[inline]
@@ -407,6 +419,58 @@ mod blocked {
     ) -> i16 {
         super::fire_walk_scalar(mem, leak, threshold, out)
     }
+
+    /// The pass arena's update step (see the x86_64 body).
+    #[inline]
+    pub(crate) fn accumulate_lanes(
+        rows: &mut [i16],
+        stride: usize,
+        weights: &[i8],
+        weight_stride: usize,
+        taps: usize,
+        lanes: usize,
+        max: &mut [i16],
+    ) {
+        super::accumulate_lanes_scalar(rows, stride, weights, weight_stride, taps, lanes, max);
+    }
+
+    /// The pass arena's state transpose (see the x86_64 body).
+    #[inline]
+    pub(crate) fn transpose_lanes(
+        src: &[i16],
+        src_stride: usize,
+        dst: &mut [i16],
+        dst_stride: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        super::transpose_lanes_scalar(src, src_stride, dst, dst_stride, rows, cols);
+    }
+
+    /// The pass arena's per-lane leak catch-up (see the x86_64 body).
+    #[inline]
+    pub(crate) fn leak_lanes(
+        block: &mut [i16],
+        stride: usize,
+        rows: usize,
+        totals: &[i16; BLOCK_LANES],
+    ) {
+        super::leak_lanes_scalar(block, stride, rows, totals);
+    }
+
+    /// The pass arena's fused leak-and-threshold sweep (see the x86_64
+    /// body).
+    #[inline]
+    pub(crate) fn sweep_lanes(
+        block: &mut [i16],
+        stride: usize,
+        rows: usize,
+        totals: &[i16; BLOCK_LANES],
+        thresholds: &[i16; BLOCK_LANES],
+        fired: &mut [u64; BLOCK_LANES],
+    ) -> [i16; BLOCK_LANES] {
+        super::sweep_lanes_scalar(block, stride, rows, totals, thresholds, fired)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -422,12 +486,12 @@ mod blocked {
     //! adds are exact.
 
     use super::BLOCK_LANES;
-    use crate::plan::StencilRow;
     use std::arch::x86_64::{
         __m128i, _mm_add_epi16, _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi16, _mm_loadl_epi64,
         _mm_loadu_si128, _mm_max_epi16, _mm_min_epi16, _mm_movemask_epi8, _mm_or_si128,
         _mm_set1_epi16, _mm_srai_epi16, _mm_srli_si128, _mm_storeu_si128, _mm_sub_epi16,
-        _mm_unpacklo_epi8,
+        _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpacklo_epi16,
+        _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8,
     };
 
     /// Loads 8 `i16` lanes from `mem[at..at + 8]` (caller guarantees
@@ -617,63 +681,258 @@ mod blocked {
         store8(lanes, 0, vmax);
     }
 
+    /// The pass arena's update step, for `taps` taps at consecutive
+    /// in-plane positions: tap `i` adds weight row
+    /// `weights[i·weight_stride..]` to arena row `rows[i·stride..]`, so for
+    /// every lane `l < lanes`, `state = clamp(state + w[l])` and
+    /// `max[l] = max(max[l], state)`. Each row covers `lanes` rounded up to
+    /// whole vectors; the lanes past `lanes` take weight 0, so they keep
+    /// their state (the membrane-range invariant) and fold it into `max`.
+    /// `rows`, `weights` and `max` must hold that many lanes past their last
+    /// row (the plan's tap table carries [`BLOCK_LANES`] bytes of padding
+    /// for this).
     #[inline]
-    pub(super) fn accumulate_rows_max_blocked(
-        mem: &mut [i16],
-        plane_start: usize,
-        rows: &[StencilRow],
-        weight_starts: &[u32],
-        pool: &[i8],
+    pub(crate) fn accumulate_lanes(
+        rows: &mut [i16],
+        stride: usize,
+        weights: &[i8],
+        weight_stride: usize,
         taps: usize,
-        lanes: &mut [i16; BLOCK_LANES],
+        lanes: usize,
+        max: &mut [i16],
     ) {
         // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        unsafe {
-            accumulate_rows_max_sse2(mem, plane_start, rows, weight_starts, pool, taps, lanes);
-        }
+        unsafe { accumulate_lanes_sse2(rows, stride, weights, weight_stride, taps, lanes, max) }
     }
 
     #[inline]
     #[target_feature(enable = "sse2")]
-    fn accumulate_rows_max_sse2(
-        mem: &mut [i16],
-        plane_start: usize,
-        rows: &[StencilRow],
-        weight_starts: &[u32],
-        pool: &[i8],
+    fn accumulate_lanes_sse2(
+        rows: &mut [i16],
+        stride: usize,
+        weights: &[i8],
+        weight_stride: usize,
         taps: usize,
-        lanes: &mut [i16; BLOCK_LANES],
+        lanes: usize,
+        max: &mut [i16],
     ) {
-        if taps > BLOCK_LANES {
-            // Rows wider than one vector (kernels above 8): the span form.
-            for (row, &start) in rows.iter().zip(weight_starts) {
-                let at = plane_start + row.start as usize;
-                accumulate_span_max_sse2(mem, at, &pool[start as usize..], taps, lanes);
-            }
+        if taps == 0 {
             return;
         }
-        // Lanes past the row get weight 0, so `clamp(state + 0) == state`
-        // rewrites them unchanged (membrane-range invariant); `cap` keeps
-        // them out of the maximum (`min(next, -128)` is the floor) and is
-        // the identity on the row's own lanes (`next <= 127`).
-        let mask = load8(&TAIL_MASKS[taps], 0);
-        let cap = _mm_or_si128(
-            _mm_and_si128(mask, _mm_set1_epi16(i16::from(i8::MAX))),
-            _mm_andnot_si128(mask, _mm_set1_epi16(i16::from(i8::MIN))),
+        let padded = lanes.next_multiple_of(BLOCK_LANES);
+        assert!(
+            (taps - 1) * stride + padded <= rows.len()
+                && (taps - 1) * weight_stride + padded <= weights.len()
+                && padded <= max.len(),
+            "lane step exceeds its rows, weights or maximum"
         );
-        let mut vmax = load8(lanes, 0);
-        for (row, &start) in rows.iter().zip(weight_starts) {
-            let at = plane_start + row.start as usize;
-            let states = &mut mem[at..at + BLOCK_LANES];
-            let weights = &pool[start as usize..start as usize + BLOCK_LANES];
-            // SAFETY: `weights` holds exactly the 8 bytes loaded.
-            let w = unsafe { _mm_loadl_epi64(weights.as_ptr().cast()) };
-            let wv = _mm_and_si128(widen_weights(w), mask);
-            let next = clamp_lanes(_mm_add_epi16(load8(states, 0), wv));
-            store8(states, 0, next);
-            vmax = _mm_max_epi16(vmax, _mm_min_epi16(next, cap));
+        let mut at = 0;
+        while at < padded {
+            // Lanes past `lanes` get weight 0: `clamp(state + 0) == state`
+            // (membrane-range invariant) rewrites them unchanged.
+            let mask = load8(&TAIL_MASKS[(lanes - at).min(BLOCK_LANES)], 0);
+            let mut vmax = load8(max, at);
+            for tap in 0..taps {
+                let (row, weight) = (tap * stride + at, tap * weight_stride + at);
+                // SAFETY: `weight + 8 <= (taps - 1) * weight_stride + padded
+                // <= weights.len()` (asserted above).
+                let w = unsafe { _mm_loadl_epi64(weights.as_ptr().add(weight).cast()) };
+                let next = clamp_lanes(_mm_add_epi16(
+                    load8(rows, row),
+                    _mm_and_si128(widen_weights(w), mask),
+                ));
+                store8(rows, row, next);
+                vmax = _mm_max_epi16(vmax, next);
+            }
+            store8(max, at, vmax);
+            at += BLOCK_LANES;
         }
-        store8(lanes, 0, vmax);
+    }
+
+    /// The pass arena's state transpose: `dst[col·dst_stride + row] =
+    /// src[row·src_stride + col]` for every `row < rows` and `col < cols`.
+    /// Whole 8×8 tiles move as eight vectors through three rounds of
+    /// unpacks; the edges (when `rows` or `cols` is not a multiple of
+    /// [`BLOCK_LANES`]) move one element at a time.
+    #[inline]
+    pub(crate) fn transpose_lanes(
+        src: &[i16],
+        src_stride: usize,
+        dst: &mut [i16],
+        dst_stride: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
+        unsafe { transpose_lanes_sse2(src, src_stride, dst, dst_stride, rows, cols) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn transpose_lanes_sse2(
+        src: &[i16],
+        src_stride: usize,
+        dst: &mut [i16],
+        dst_stride: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        assert!(
+            (rows - 1) * src_stride + cols <= src.len()
+                && (cols - 1) * dst_stride + rows <= dst.len(),
+            "transpose exceeds its source or destination"
+        );
+        let (tile_rows, tile_cols) = (rows - rows % BLOCK_LANES, cols - cols % BLOCK_LANES);
+        for row in (0..tile_rows).step_by(BLOCK_LANES) {
+            for col in (0..tile_cols).step_by(BLOCK_LANES) {
+                let r: [__m128i; BLOCK_LANES] =
+                    std::array::from_fn(|i| load8(src, (row + i) * src_stride + col));
+                // Pairs of rows interleaved by 16, then 32, then 64 bits:
+                // vector `i` of the last round is column `col + i`.
+                let a: [__m128i; BLOCK_LANES] = std::array::from_fn(|i| {
+                    let (x, y) = (r[(i / 2) * 2], r[(i / 2) * 2 + 1]);
+                    if i % 2 == 0 {
+                        _mm_unpacklo_epi16(x, y)
+                    } else {
+                        _mm_unpackhi_epi16(x, y)
+                    }
+                });
+                let b: [__m128i; BLOCK_LANES] = std::array::from_fn(|i| {
+                    let (x, y) = (
+                        a[(i / 4) * 4 + (i / 2) % 2],
+                        a[(i / 4) * 4 + (i / 2) % 2 + 2],
+                    );
+                    if i % 2 == 0 {
+                        _mm_unpacklo_epi32(x, y)
+                    } else {
+                        _mm_unpackhi_epi32(x, y)
+                    }
+                });
+                for i in 0..BLOCK_LANES {
+                    let (x, y) = (b[i / 2], b[i / 2 + 4]);
+                    let column = if i % 2 == 0 {
+                        _mm_unpacklo_epi64(x, y)
+                    } else {
+                        _mm_unpackhi_epi64(x, y)
+                    };
+                    store8(dst, (col + i) * dst_stride + row, column);
+                }
+            }
+        }
+        for row in 0..rows {
+            let cols_left = if row < tile_rows { tile_cols } else { 0 };
+            for col in cols_left..cols {
+                dst[col * dst_stride + row] = src[row * src_stride + col];
+            }
+        }
+    }
+
+    /// The pass arena's per-lane leak catch-up: for `rows` rows of
+    /// [`BLOCK_LANES`] lanes spaced `stride` apart,
+    /// `state = clamp(state - totals[l])`. Totals must lie in `±256`, which
+    /// already pins every membrane to a rail.
+    #[inline]
+    pub(crate) fn leak_lanes(
+        block: &mut [i16],
+        stride: usize,
+        rows: usize,
+        totals: &[i16; BLOCK_LANES],
+    ) {
+        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
+        unsafe { leak_lanes_sse2(block, stride, rows, totals) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn leak_lanes_sse2(block: &mut [i16], stride: usize, rows: usize, totals: &[i16; BLOCK_LANES]) {
+        if rows == 0 {
+            return;
+        }
+        assert!(
+            (rows - 1) * stride + BLOCK_LANES <= block.len(),
+            "leak rows exceed the block"
+        );
+        let total = load8(totals, 0);
+        for row in 0..rows {
+            let at = row * stride;
+            store8(
+                block,
+                at,
+                clamp_lanes(_mm_sub_epi16(load8(block, at), total)),
+            );
+        }
+    }
+
+    /// The pass arena's fused leak-and-threshold sweep, the fire-scan walk
+    /// of [`BLOCK_LANES`] clusters at once: for `rows` (at most 64) rows of
+    /// lanes spaced `stride` apart, `state = clamp(state - totals[l])`,
+    /// and a state reaching `thresholds[l]` resets to 0 and sets bit `row`
+    /// of `fired[l]`. Returns each lane's maximum resulting state. A lane
+    /// with total 0 and a threshold above 127 is left unchanged. Totals must
+    /// lie in `±256`.
+    #[inline]
+    pub(crate) fn sweep_lanes(
+        block: &mut [i16],
+        stride: usize,
+        rows: usize,
+        totals: &[i16; BLOCK_LANES],
+        thresholds: &[i16; BLOCK_LANES],
+        fired: &mut [u64; BLOCK_LANES],
+    ) -> [i16; BLOCK_LANES] {
+        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
+        unsafe { sweep_lanes_sse2(block, stride, rows, totals, thresholds, fired) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn sweep_lanes_sse2(
+        block: &mut [i16],
+        stride: usize,
+        rows: usize,
+        totals: &[i16; BLOCK_LANES],
+        thresholds: &[i16; BLOCK_LANES],
+        fired: &mut [u64; BLOCK_LANES],
+    ) -> [i16; BLOCK_LANES] {
+        assert!(rows <= 64, "a sweep covers at most 64 rows");
+        *fired = [0; BLOCK_LANES];
+        let mut max = [i16::from(i8::MIN); BLOCK_LANES];
+        if rows == 0 {
+            return max;
+        }
+        assert!(
+            (rows - 1) * stride + BLOCK_LANES <= block.len(),
+            "sweep rows exceed the block"
+        );
+        let total = load8(totals, 0);
+        let threshold = load8(thresholds, 0);
+        let mut vmax = _mm_set1_epi16(i16::from(i8::MIN));
+        for row in 0..rows {
+            let at = row * stride;
+            let next = clamp_lanes(_mm_sub_epi16(load8(block, at), total));
+            // A lane fires when `next >= threshold`, i.e. NOT (thr > next).
+            let below = _mm_cmpgt_epi16(threshold, next);
+            let bits = _mm_movemask_epi8(below);
+            let next = if bits == 0xFFFF {
+                next
+            } else {
+                // One movemask bit pair per lane: the low bit of each pair
+                // is clear for a firing lane.
+                let mut firing = !bits & 0x5555;
+                while firing != 0 {
+                    fired[(firing.trailing_zeros() / 2) as usize] |= 1 << row;
+                    firing &= firing - 1;
+                }
+                // Firing lanes reset to 0.
+                _mm_and_si128(below, next)
+            };
+            store8(block, at, next);
+            vmax = _mm_max_epi16(vmax, next);
+        }
+        store8(&mut max, 0, vmax);
+        max
     }
 
     #[inline]
@@ -770,9 +1029,10 @@ mod blocked {
     }
 }
 
+pub(crate) use blocked::{accumulate_lanes, leak_lanes, sweep_lanes, transpose_lanes};
 use blocked::{
-    accumulate_rows_max_blocked, accumulate_span_blocked, accumulate_span_max_blocked,
-    apply_leak_blocked, fire_walk_blocked, reduce_lane_max_blocked,
+    accumulate_span_blocked, accumulate_span_max_blocked, apply_leak_blocked, fire_walk_blocked,
+    reduce_lane_max_blocked,
 };
 
 #[cfg(test)]
@@ -876,6 +1136,184 @@ mod tests {
             Kernel::Scalar.apply_leak(&mut mem_s, total);
             Kernel::Blocked.apply_leak(&mut mem_b, total);
             assert_eq!(mem_s, mem_b, "total={total}");
+        }
+    }
+
+    /// A pass-arena block of `rows` rows × `stride` lanes of random
+    /// membranes.
+    fn lane_block(seed: &mut u64, rows: usize, stride: usize) -> Vec<i16> {
+        (0..rows * stride)
+            .map(|_| (pseudo(seed) % 256) as i16 - 128)
+            .collect()
+    }
+
+    #[test]
+    fn lane_accumulation_matches_scalar_with_masked_lanes() {
+        let mut seed = 0x1a2e;
+        for lanes in 1..=3 * BLOCK_LANES {
+            let padded = lanes.next_multiple_of(BLOCK_LANES);
+            for (taps, stride, weight_stride) in [(1, padded, lanes), (3, padded + 8, lanes + 5)] {
+                // The weight rows run past `lanes` (the tap table's next
+                // channels and padding): those bytes must change nothing.
+                let weights: Vec<i8> = (0..(taps - 1) * weight_stride + padded)
+                    .map(|_| (pseudo(&mut seed) % 256) as u8 as i8)
+                    .collect();
+                let rows = lane_block(&mut seed, taps, stride);
+                let max = lane_block(&mut seed, 1, padded);
+                let (mut want_rows, mut want_max) = (rows.clone(), max.clone());
+                accumulate_lanes_scalar(
+                    &mut want_rows,
+                    stride,
+                    &weights,
+                    weight_stride,
+                    taps,
+                    lanes,
+                    &mut want_max,
+                );
+                let (mut got_rows, mut got_max) = (rows.clone(), max.clone());
+                accumulate_lanes(
+                    &mut got_rows,
+                    stride,
+                    &weights,
+                    weight_stride,
+                    taps,
+                    lanes,
+                    &mut got_max,
+                );
+                assert_eq!(got_rows, want_rows, "lanes {lanes} taps {taps}");
+                assert_eq!(got_max, want_max, "lanes {lanes} taps {taps}");
+                for tap in 0..taps {
+                    let masked = tap * stride + lanes..(tap + 1) * stride;
+                    assert_eq!(
+                        got_rows[masked.clone()],
+                        rows[masked],
+                        "masked lanes keep their state"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_accumulation_saturates_both_rails() {
+        for (state, weight) in [(127i16, i8::MAX), (-128, i8::MIN), (127, i8::MIN)] {
+            let mut rows = [state; 4 * BLOCK_LANES];
+            let mut max = LANE_FLOOR.repeat(2);
+            let weights = [weight; 4 * BLOCK_LANES];
+            let (mut want_rows, mut want_max) = (rows, max.clone());
+            for _ in 0..4 {
+                accumulate_lanes(&mut rows, 2 * BLOCK_LANES, &weights, 13, 2, 13, &mut max);
+                accumulate_lanes_scalar(
+                    &mut want_rows,
+                    2 * BLOCK_LANES,
+                    &weights,
+                    13,
+                    2,
+                    13,
+                    &mut want_max,
+                );
+                assert_eq!(rows, want_rows);
+                assert_eq!(max, want_max);
+            }
+            let rail = if weight > 0 { 127 } else { -128 };
+            for row in rows.chunks_exact(2 * BLOCK_LANES) {
+                assert!(row[..13].iter().all(|&s| s == rail));
+                assert!(row[13..].iter().all(|&s| s == state));
+            }
+        }
+    }
+
+    #[test]
+    fn lane_transpose_matches_scalar_on_tiles_and_edges() {
+        let mut seed = 0x7a45;
+        for (rows, cols) in [(0, 5), (8, 8), (64, 32), (64, 8), (13, 21), (7, 3), (16, 9)] {
+            let (src_stride, dst_stride) = (cols + 3, rows + 5);
+            let src = lane_block(&mut seed, rows.max(1), src_stride);
+            let dst = lane_block(&mut seed, cols.max(1), dst_stride);
+            let mut want = dst.clone();
+            transpose_lanes_scalar(&src, src_stride, &mut want, dst_stride, rows, cols);
+            let mut got = dst.clone();
+            transpose_lanes(&src, src_stride, &mut got, dst_stride, rows, cols);
+            assert_eq!(got, want, "{rows} x {cols}");
+            // Round trip: transposing back restores the source's cells.
+            let mut back = lane_block(&mut seed, rows.max(1), src_stride);
+            transpose_lanes(&got, dst_stride, &mut back, src_stride, cols, rows);
+            for row in 0..rows {
+                let cells = row * src_stride..row * src_stride + cols;
+                assert_eq!(back[cells.clone()], src[cells], "{rows} x {cols} row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_leak_matches_scalar_for_every_total() {
+        let mut seed = 0x1ea4;
+        let stride = 3 * BLOCK_LANES;
+        for rows in [0usize, 1, 7, 64] {
+            let block = lane_block(&mut seed, rows.max(1), stride);
+            let mut totals = [0i16; BLOCK_LANES];
+            for (l, total) in totals.iter_mut().enumerate() {
+                *total = [-256, -255, -3, 0, 1, 127, 255, 256][l];
+            }
+            let mut want = block.clone();
+            leak_lanes_scalar(&mut want[BLOCK_LANES..], stride, rows, &totals);
+            let mut got = block.clone();
+            leak_lanes(&mut got[BLOCK_LANES..], stride, rows, &totals);
+            assert_eq!(got, want, "rows {rows}");
+        }
+    }
+
+    #[test]
+    fn lane_sweep_matches_scalar_and_fire_walk_with_masked_lanes() {
+        let mut seed = 0x5e3e;
+        let stride = 2 * BLOCK_LANES;
+        for rows in [1usize, 5, 8, 63, 64] {
+            for (leak, threshold) in [(0i16, 10i16), (1, 3), (3, 100), (2, -5), (-2, 20)] {
+                let block = lane_block(&mut seed, rows, stride);
+                // Lanes 1 and 6 do not walk: total 0, unreachable threshold.
+                let walking = |l: usize| l != 1 && l != 6;
+                let mut totals = [0i16; BLOCK_LANES];
+                let mut thresholds = [i16::MAX; BLOCK_LANES];
+                for l in (0..BLOCK_LANES).filter(|&l| walking(l)) {
+                    // Owed steps plus this scan's step, fused per lane.
+                    totals[l] = (leak * (l as i16 + 1)).clamp(-256, 256);
+                    thresholds[l] = threshold;
+                }
+                let (mut want, mut want_fired) = (block.clone(), [0; BLOCK_LANES]);
+                let want_max = sweep_lanes_scalar(
+                    &mut want,
+                    stride,
+                    rows,
+                    &totals,
+                    &thresholds,
+                    &mut want_fired,
+                );
+                let (mut got, mut got_fired) = (block.clone(), [u64::MAX; BLOCK_LANES]);
+                let got_max =
+                    sweep_lanes(&mut got, stride, rows, &totals, &thresholds, &mut got_fired);
+                assert_eq!(got, want, "rows {rows} leak {leak} threshold {threshold}");
+                assert_eq!(got_fired, want_fired);
+                assert_eq!(got_max, want_max);
+                for l in 0..BLOCK_LANES {
+                    let column =
+                        |b: &[i16]| (0..rows).map(|r| b[r * stride + l]).collect::<Vec<_>>();
+                    if !walking(l) {
+                        assert_eq!(column(&got), column(&block), "lane {l} is untouched");
+                        assert_eq!(got_fired[l], 0);
+                        continue;
+                    }
+                    // A walking lane is one cluster's fire walk, with the
+                    // owed leak applied first.
+                    let mut oracle = column(&block);
+                    apply_leak_scalar(&mut oracle, i32::from(leak) * l as i32);
+                    let mut spikes = Vec::new();
+                    let bound = fire_walk_scalar(&mut oracle, leak, threshold, &mut spikes);
+                    assert_eq!(column(&got), oracle, "lane {l}");
+                    assert_eq!(got_max[l], bound, "lane {l}");
+                    let mask = spikes.iter().fold(0u64, |m, &i| m | 1 << i);
+                    assert_eq!(got_fired[l], mask, "lane {l}");
+                }
+            }
         }
     }
 

@@ -20,13 +20,20 @@
 //! segment explicitly. The arena carries [`BLOCK_LANES`] lanes of zeroed
 //! padding behind the last cluster so the blocked kernel's full-vector tail
 //! step is always in bounds.
+//!
+//! Planned convolutions on the blocked kernel keep their membranes in the
+//! engine's channel-interleaved pass arena instead (DESIGN.md §12). The
+//! slice then holds only its clusters' bookkeeping, which the arena drives
+//! through the crate-private bookkeeping halves of the methods below: the
+//! reset, import and export halves, the per-cluster update-run open and
+//! close, and the fire-scan decisions of `fire_with`.
 
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterState};
 use crate::config::SneConfig;
 use crate::mapping::{Contribution, LifHardwareParams};
-use crate::plan::{EventRow, Stencil, StencilRow};
+use crate::plan::EventRow;
 use crate::simd::{Kernel, BLOCK_LANES, LANE_FLOOR};
 
 /// Statistics of one `UPDATE_OP` processed by a slice.
@@ -233,6 +240,12 @@ impl Slice {
     /// per-cluster bookkeeping.
     pub fn reset(&mut self) {
         self.membranes.fill(0);
+        self.reset_bookkeeping();
+    }
+
+    /// The bookkeeping half of [`Slice::reset`], for a pass whose membranes
+    /// live in the engine's pass arena.
+    pub(crate) fn reset_bookkeeping(&mut self) {
         for cluster in &mut self.clusters {
             cluster.reset_bookkeeping();
         }
@@ -247,10 +260,25 @@ impl Slice {
     ///
     /// Panics if `out` does not hold exactly one slot per cluster.
     pub fn export_state(&self, out: &mut [ClusterState]) {
-        assert_eq!(out.len(), self.clusters.len(), "cluster slot mismatch");
+        self.export_bookkeeping(out);
         let npc = self.neurons_per_cluster;
-        for (i, (cluster, slot)) in self.clusters.iter().zip(out.iter_mut()).enumerate() {
-            cluster.snapshot_into(&self.membranes[i * npc..(i + 1) * npc], slot);
+        for (i, slot) in out.iter_mut().enumerate() {
+            slot.states
+                .copy_from_slice(&self.membranes[i * npc..(i + 1) * npc]);
+        }
+    }
+
+    /// The bookkeeping half of [`Slice::export_state`]: every field of the
+    /// snapshots but the membranes, which the caller fills.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly one slot per cluster or a slot
+    /// has the wrong neuron count.
+    pub(crate) fn export_bookkeeping(&self, out: &mut [ClusterState]) {
+        assert_eq!(out.len(), self.clusters.len(), "cluster slot mismatch");
+        for (cluster, slot) in self.clusters.iter().zip(out.iter_mut()) {
+            cluster.snapshot_bookkeeping_into(slot);
             // Fold the not-yet-posted fire-scan skips into the snapshot:
             // the exported state is the synced (eager-bookkeeping) state.
             slot.pending_leak_steps += cluster.owed_skips(self.fire_epoch);
@@ -264,16 +292,56 @@ impl Slice {
     /// Panics if `states` does not hold exactly one snapshot per cluster or
     /// a snapshot has the wrong neuron count.
     pub fn import_state(&mut self, states: &[ClusterState]) {
-        assert_eq!(states.len(), self.clusters.len(), "cluster slot mismatch");
+        self.import_bookkeeping(states);
         let npc = self.neurons_per_cluster;
-        for (i, (cluster, state)) in self.clusters.iter_mut().zip(states).enumerate() {
-            cluster.restore(&mut self.membranes[i * npc..(i + 1) * npc], state);
+        for (i, state) in states.iter().enumerate() {
+            self.membranes[i * npc..(i + 1) * npc].copy_from_slice(&state.states);
+        }
+    }
+
+    /// The bookkeeping half of [`Slice::import_state`]: everything but the
+    /// membranes, which the caller places.
+    ///
+    /// # Panics
+    ///
+    /// As [`Slice::import_state`].
+    pub(crate) fn import_bookkeeping(&mut self, states: &[ClusterState]) {
+        assert_eq!(states.len(), self.clusters.len(), "cluster slot mismatch");
+        for (cluster, state) in self.clusters.iter_mut().zip(states) {
+            cluster.restore_bookkeeping(state);
             // The imported snapshot is a synced state (export folds the
             // owed skips in), so nothing is owed anymore.
             cluster.mark_scanned(0);
         }
         self.fire_epoch = 0;
         self.dirty_count = states.iter().filter(|s| s.dirty).count() as u32;
+    }
+
+    /// Opens cluster `index` for an update run whose membranes live in the
+    /// engine's pass arena: posts its owed skips, counts it dirty and
+    /// returns the owed leak total the caller subtracts from its membranes
+    /// (see [`Cluster::take_owed_leak`]). The arena's half of the span
+    /// walk's `open_window`.
+    #[inline]
+    pub(crate) fn open_in_arena(&mut self, index: usize, params: LifHardwareParams) -> i32 {
+        let cluster = &mut self.clusters[index];
+        cluster.sync_skips(self.fire_epoch);
+        self.dirty_count += u32::from(!cluster.is_dirty());
+        cluster.take_owed_leak(params)
+    }
+
+    /// Closes cluster `index` after an update run in the pass arena (see
+    /// [`Cluster::close_window`]).
+    #[inline]
+    pub(crate) fn close_in_arena(&mut self, index: usize, window_max: i16, taps: u64) {
+        self.clusters[index].close_window(window_max, taps);
+    }
+
+    /// Ends the swept scan of cluster `index` (see
+    /// [`Cluster::end_swept_scan`]).
+    #[inline]
+    pub(crate) fn end_swept_scan(&mut self, index: usize, max: i16, spikes: u64) {
+        self.clusters[index].end_swept_scan(max, spikes);
     }
 
     /// Processes one `UPDATE_OP`: the contributions (already filtered to this
@@ -366,20 +434,6 @@ impl Slice {
     /// The bound stays **exact**, never an overestimate: it decides
     /// fire-scan walk elision, which the persisted TLU state can observe.
     ///
-    /// **The stencil walk.** Where the slice's range covers whole
-    /// output-channel planes, the blocked kernel runs, and the event has a
-    /// [`Stencil`] (`stencils[i]` for `rows[i]`, rows in
-    /// `stencil_rows`; see [`crate::plan::StencilTable`]), the event skips
-    /// the per-span walk: it visits the slice's planes at stride `plane`,
-    /// opens each of the row clusters once, and applies each cluster's rows
-    /// in one [`Kernel::accumulate_rows_max`] call. The counts stay exact:
-    /// no row is clipped (whole planes), every row holds at least one tap,
-    /// and each plane's touched clusters are the stencil's distinct
-    /// clusters, so the event's active clusters are `clusters × planes`.
-    /// Events without a stencil (a row straddles a cluster boundary), ranges
-    /// that split a plane and the scalar kernel take the span walk, which
-    /// stays the oracle. An empty `stencils` disables the stencil walk.
-    ///
     /// Pushes one synaptic-ops entry per event into `update_ops` and returns
     /// the **aggregated** outcome of the block. Bit-identical to resolving
     /// every event through
@@ -387,12 +441,9 @@ impl Slice {
     /// and dispatching via [`Slice::process_update`]: same states, same
     /// counters, same totals (within one event window each neuron receives
     /// at most one contribution, so apply order cannot matter).
-    #[allow(clippy::too_many_arguments)]
     pub fn process_update_block_planned(
         &mut self,
         rows: &[EventRow<'_>],
-        stencils: &[Stencil],
-        stencil_rows: &[StencilRow],
         params: LifHardwareParams,
         clock_gating: bool,
         update_ops: &mut Vec<u64>,
@@ -416,10 +467,9 @@ impl Slice {
         // The output-channel window of the slice range is a per-layer
         // constant (every row of a block belongs to the same layer), so the
         // two divisions behind it run once per block, not once per event.
-        // `(first output channel, last output channel, clamped range end,
-        // whether the stencil walk applies)`, with `first > last` encoding
-        // an empty intersection.
-        let mut conv_channels: Option<(usize, usize, usize, bool)> = None;
+        // `(first output channel, last output channel, clamped range end)`,
+        // with `first > last` encoding an empty intersection.
+        let mut conv_channels: Option<(usize, usize, usize)> = None;
         let nclusters = self.clusters.len();
         if scratch.mark.len() != nclusters {
             scratch.mark.clear();
@@ -472,7 +522,7 @@ impl Slice {
         }
         let cluster_clamp = nclusters - 1;
         let mut aggregate = UpdateOutcome::default();
-        for (i, row) in rows.iter().enumerate() {
+        for row in rows {
             epoch = epoch.wrapping_add(1);
             if epoch == 0 {
                 // Wrapped after 2^32 event windows: restart the epoch space.
@@ -494,58 +544,15 @@ impl Slice {
                 } => {
                     // Only the output channels whose planes intersect the
                     // range can contribute (the address filter).
-                    let (first_oc, last_oc, end, whole_planes) =
-                        *conv_channels.get_or_insert_with(|| {
-                            let end = range.end.min(total_neurons);
-                            let whole_planes = kernel == Kernel::Blocked
-                                && plane % npc == 0
-                                && range.start % plane == 0
-                                && end % plane == 0;
-                            if range.start < end {
-                                (range.start / plane, (end - 1) / plane, end, whole_planes)
-                            } else {
-                                (1, 0, end, false)
-                            }
-                        });
-                    let stencil = stencils.get(i).filter(|s| whole_planes && s.clusters > 0);
-                    if let Some(stencil) = stencil {
-                        let event_rows = &stencil_rows[stencil.first as usize..][..rows_per_oc];
-                        let planes = (last_oc - first_oc + 1) as u64;
-                        // Rows descend in address, so each cluster's rows
-                        // are adjacent: one open and one kernel call per
-                        // (cluster, plane).
-                        let mut first = 0;
-                        while first < rows_per_oc {
-                            let cluster = event_rows[first].cluster as usize;
-                            let mut last = first + 1;
-                            while last < rows_per_oc && event_rows[last].cluster as usize == cluster
-                            {
-                                last += 1;
-                            }
-                            let group = &event_rows[first..last];
-                            let group_taps = ((last - first) * taps_per_row) as u64;
-                            for oc in first_oc..=last_oc {
-                                let plane_start = oc * plane - base;
-                                let cluster_index =
-                                    (cluster_of(plane_start) + cluster).min(cluster_clamp);
-                                open_window!(cluster_index);
-                                kernel.accumulate_rows_max(
-                                    membranes,
-                                    plane_start,
-                                    group,
-                                    &weight_starts
-                                        [oc * rows_per_oc + first..oc * rows_per_oc + last],
-                                    pool,
-                                    taps_per_row,
-                                    &mut lanes[cluster_index],
-                                );
-                                taps[cluster_index] += group_taps;
-                            }
-                            first = last;
+                    let (first_oc, last_oc, end) = *conv_channels.get_or_insert_with(|| {
+                        let end = range.end.min(total_neurons);
+                        if range.start < end {
+                            (range.start / plane, (end - 1) / plane, end)
+                        } else {
+                            (1, 0, end)
                         }
-                        active += u64::from(stencil.clusters) * planes;
-                        ops += (rows_per_oc * taps_per_row) as u64 * planes;
-                    } else if first_oc <= last_oc {
+                    });
+                    if first_oc <= last_oc {
                         let first_span = first_oc * rows_per_oc;
                         let last_span = (last_oc + 1) * rows_per_oc;
                         let offsets = &row_offsets[first_span..last_span];
@@ -662,8 +669,6 @@ impl Slice {
         let mut update_ops = Vec::with_capacity(1);
         self.process_update_block_planned(
             std::slice::from_ref(&row),
-            &[],
-            &[],
             params,
             clock_gating,
             &mut update_ops,
@@ -698,6 +703,48 @@ impl Slice {
         tlu_enabled: bool,
         out: &mut Vec<usize>,
     ) -> FireScanSummary {
+        let npc = self.neurons_per_cluster;
+        let kernel = self.kernel;
+        let (base, end) = (self.base, self.base + self.assigned);
+        self.fire_with(params, tlu_enabled, |cluster_index, cluster, membranes| {
+            let cluster_start = cluster_index * npc;
+            let local_start = out.len();
+            cluster.scan_walk(
+                &mut membranes[cluster_start..cluster_start + npc],
+                params,
+                kernel,
+                out,
+            );
+            // Shift the appended local indices to global addresses,
+            // dropping neurons beyond the assigned range: they are
+            // architectural padding (the last cluster of a pass may be
+            // partially used) and can never have received a contribution,
+            // so they never fire, but guard anyway.
+            let mut write = local_start;
+            for read in local_start..out.len() {
+                let global = base + cluster_start + out[read];
+                if global < end {
+                    out[write] = global;
+                    write += 1;
+                }
+            }
+            out.truncate(write);
+        })
+    }
+
+    /// The TLU and bound decisions of one `FIRE_OP`, in cluster order:
+    /// skips and elided scans are settled here, and every cluster whose
+    /// scan must walk its neurons is handed to `walk` (with its index and
+    /// the slice's membranes) after its owed skips are posted. `walk` must
+    /// perform exactly one executed scan of the cluster:
+    /// [`Cluster::scan_walk`] over the slice's membranes, or the pass
+    /// arena's swept scan.
+    pub(crate) fn fire_with(
+        &mut self,
+        params: LifHardwareParams,
+        tlu_enabled: bool,
+        mut walk: impl FnMut(usize, &mut Cluster, &mut [i16]),
+    ) -> FireScanSummary {
         // This op's post-fire epoch: skips are deferred by *not* advancing
         // a clean cluster to it (the owed skips materialize at the
         // cluster's next per-cluster observation, see `Slice::fire_epoch`),
@@ -716,8 +763,6 @@ impl Slice {
                 skipped_clusters: self.clusters.len() as u64,
             };
         }
-        let npc = self.neurons_per_cluster;
-        let kernel = self.kernel;
         let fire_epoch = self.fire_epoch;
         let membranes = &mut self.membranes[..];
         let mut dirty_count = self.dirty_count;
@@ -739,38 +784,12 @@ impl Slice {
             // Bound elision resolved before the walk machinery: a dirty
             // cluster whose membrane bound proves no spike is possible costs
             // one compare and three counter bumps, no arena segmentation.
-            if cluster.scan_elides(params) {
-                cluster.mark_scanned(next_epoch);
-                dirty_count -= u32::from(was_dirty);
-                summary.scanned_clusters += 1;
-                continue;
+            if !cluster.scan_elides(params) {
+                walk(cluster_index, cluster, membranes);
             }
-            let cluster_base = self.base + cluster_index * npc;
-            let cluster_start = cluster_index * npc;
-            let local_start = out.len();
-            cluster.scan_walk(
-                &mut membranes[cluster_start..cluster_start + npc],
-                params,
-                kernel,
-                out,
-            );
             cluster.mark_scanned(next_epoch);
             dirty_count -= u32::from(was_dirty);
             summary.scanned_clusters += 1;
-            // Shift the appended local indices to global addresses, dropping
-            // neurons beyond the assigned range: they are architectural
-            // padding (the last cluster of a pass may be partially used) and
-            // can never have received a contribution, so they never fire,
-            // but guard anyway.
-            let mut write = local_start;
-            for read in local_start..out.len() {
-                let global = cluster_base + out[read];
-                if global < self.base + self.assigned {
-                    out[write] = global;
-                    write += 1;
-                }
-            }
-            out.truncate(write);
         }
         self.dirty_count = dirty_count;
         self.fire_epoch = next_epoch;
@@ -962,58 +981,6 @@ mod tests {
         // Without TLU every cluster scans.
         let fire = slice.process_fire(PARAMS, false);
         assert_eq!(fire.scanned_clusters, 4);
-    }
-
-    #[test]
-    fn stencil_walk_matches_the_span_walk() {
-        use crate::mapping::{LayerMapping, MapShape};
-        use crate::plan::{LayerPlan, StencilTable};
-        use sne_event::Event;
-
-        // 4x4 planes (16 neurons = 2 clusters of 8) on a 32-neuron slice:
-        // the slice holds two whole planes and every event resolves to a
-        // stencil, border events included.
-        let weights: Vec<i8> = (0..2 * 3 * 3 * 3).map(|i| (i % 11) as i8 - 5).collect();
-        let mapping =
-            LayerMapping::conv(MapShape::new(3, 4, 4), 2, 3, weights, PARAMS).expect("conv");
-        let plan = LayerPlan::build(&mapping);
-        let events: Vec<Event> = (0..48u16)
-            .map(|i| Event::update(0, i % 3, (i * 5) % 4, (i / 3) % 4))
-            .collect();
-        let rows: Vec<EventRow<'_>> = events.iter().map(|e| plan.event_row(e)).collect();
-        let mut table = StencilTable::default();
-        table.build(&rows, 8);
-        assert!(table.events.iter().all(|s| s.clusters > 0));
-
-        let mut runs = Vec::new();
-        for stencils in [&table.events[..], &[]] {
-            let mut slice = Slice::new(&small_config());
-            slice.set_kernel(Kernel::Blocked);
-            slice.configure_pass(0, 32);
-            let mut update_ops = Vec::new();
-            let mut scratch = WindowScratch::default();
-            // Two blocks with a fire in between (leak catch-up on reopen).
-            let mut outcomes = Vec::new();
-            for block in [0..20, 20..48] {
-                outcomes.push(slice.process_update_block_planned(
-                    &rows[block.clone()],
-                    stencils.get(block.clone()).unwrap_or(&[]),
-                    &table.rows,
-                    LifHardwareParams {
-                        leak: 1,
-                        threshold: 6,
-                    },
-                    true,
-                    &mut update_ops,
-                    &mut scratch,
-                ));
-                let _ = slice.process_fire(PARAMS, true);
-            }
-            let mut saved = vec![ClusterState::resting(8); 4];
-            slice.export_state(&mut saved);
-            runs.push((outcomes, update_ops, saved, slice.synaptic_ops()));
-        }
-        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

@@ -115,11 +115,30 @@ impl LayerState {
     ///
     /// Panics if `pass` is out of range.
     pub fn pass_slices_mut(&mut self, pass: usize) -> impl Iterator<Item = &mut [ClusterState]> {
-        assert!(pass < self.passes, "pass {pass} out of range");
         let per_slice = self.clusters_per_slice;
-        let start = pass * self.slices * per_slice;
-        let end = start + self.slices * per_slice;
-        self.clusters[start..end].chunks_mut(per_slice)
+        self.pass_state_mut(pass).chunks_mut(per_slice)
+    }
+
+    /// Every cluster slot of pass `pass`, `(slice, cluster)` row-major: slot
+    /// `s · clusters_per_slice + c` is cluster `c` of slice `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pass` is out of range.
+    pub(crate) fn pass_state(&self, pass: usize) -> &[ClusterState] {
+        &self.clusters[self.pass_range(pass)]
+    }
+
+    /// Mutable [`LayerState::pass_state`].
+    pub(crate) fn pass_state_mut(&mut self, pass: usize) -> &mut [ClusterState] {
+        let range = self.pass_range(pass);
+        &mut self.clusters[range]
+    }
+
+    fn pass_range(&self, pass: usize) -> std::ops::Range<usize> {
+        assert!(pass < self.passes, "pass {pass} out of range");
+        let per_pass = self.slices * self.clusters_per_slice;
+        pass * per_pass..(pass + 1) * per_pass
     }
 
     fn slot_range(&self, pass: usize, slice: usize) -> std::ops::Range<usize> {

@@ -13,12 +13,16 @@
 //! The record doubles as the reusable buffer pool of the hot path: all its
 //! vectors are cleared, never dropped, so steady-state streaming performs no
 //! per-timestep (or even per-run) allocation.
+//!
+//! Planned convolutions on the blocked kernel skip these units: the engine's
+//! pass arena (DESIGN.md §12) walks all of a pass's slices at once on the
+//! calling thread and fills the same records.
 
 use sne_event::{Event, EventOp};
 
 use crate::cluster::ClusterState;
 use crate::mapping::{Contribution, LayerMapping, LifHardwareParams};
-use crate::plan::{EventRow, StencilTable};
+use crate::plan::EventRow;
 use crate::slice::{Slice, WindowScratch};
 use crate::stats::CycleStats;
 
@@ -32,9 +36,6 @@ pub struct WorkerContext<'a> {
     /// caller built one (`None` runs the naive reference datapath).
     /// Bit-exact either way.
     pub rows: Option<&'a [EventRow<'a>]>,
-    /// The stencils of [`WorkerContext::rows`] (empty when none applies,
-    /// see [`StencilTable`]).
-    pub stencils: &'a StencilTable,
     /// The full operation sequence of the run.
     pub ops: &'a [Event],
     /// LIF parameters programmed for the layer.
@@ -196,12 +197,8 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
                                 block_end += 1;
                             }
                             let events = block_end - op_index;
-                            let block = update_index..update_index + events;
-                            let stencils = ctx.stencils.events.get(block.clone()).unwrap_or(&[]);
                             let outcome = task.slice.process_update_block_planned(
-                                &rows[block],
-                                stencils,
-                                &ctx.stencils.rows,
+                                &rows[update_index..update_index + events],
                                 ctx.params,
                                 ctx.clock_gating,
                                 &mut record.update_ops,
@@ -306,7 +303,6 @@ mod tests {
         let ctx = WorkerContext {
             mapping: &mapping,
             rows: None,
-            stencils: &StencilTable::default(),
             ops: &ops,
             params: mapping.params(),
             clock_gating: true,
@@ -345,7 +341,6 @@ mod tests {
         let ctx = WorkerContext {
             mapping: &mapping,
             rows: None,
-            stencils: &StencilTable::default(),
             ops: &ops,
             params: mapping.params(),
             clock_gating: true,

@@ -70,25 +70,28 @@ fn dense_mapping(
     LayerMapping::dense(input, outputs, weights, params).unwrap()
 }
 
-/// Conv geometries `(height, width)` on both sides of the stencil condition
-/// for the 4-cluster × 8-neuron slices of [`small_config`] (32 neurons per
-/// slice).
-const STENCIL_GEOMETRIES: [(u16, u16); 6] = [
-    // Plane 16, rows inside clusters: two whole planes per slice (stencil).
+/// Conv geometries `(height, width)` on both sides of the pass arena's
+/// condition for the 4-cluster × 8-neuron slices of [`small_config`] (32
+/// neurons per slice, so 64 per pass on 2 slices and 96 on 3): planes of
+/// whole clusters, and passes of whole planes.
+const ARENA_GEOMETRIES: [(u16, u16); 6] = [
+    // Plane 16: two or three whole planes per slice (arena).
     (4, 4),
-    // Plane 32 == one slice, width 8 == one row per cluster (stencil).
+    // Plane 32 == one slice, width 8 == one row per cluster (arena).
     (4, 8),
     // Plane 15: not a whole number of clusters (span walk).
     (3, 5),
-    // Plane 24 with width 6: rows straddle clusters (span walk per event).
+    // Plane 24: passes of 96 hold whole planes (arena on 3 slices), passes
+    // of 64 do not (span walk on 2).
     (4, 6),
-    // Plane 24 with width 4: rows fit, but slices split planes (span walk).
+    // Plane 24 again, with rows that fit a cluster: the same two sides.
     (6, 4),
-    // Plane 64: wider than a slice, every range splits a plane (span walk).
+    // Plane 64: a pass of 64 is one plane split over two slices (arena on
+    // 2 slices); a pass of 96 splits a plane (span walk on 3).
     (8, 8),
 ];
 
-fn stencil_stream(
+fn arena_stream(
     height: u16,
     width: u16,
     in_channels: u16,
@@ -204,54 +207,6 @@ proptest! {
         // Reduction is kernel-independent of the lane distribution.
         prop_assert_eq!(Kernel::Blocked.reduce_lane_max(&scalar_lanes), folded_max);
         prop_assert_eq!(Kernel::Scalar.reduce_lane_max(&blocked_lanes), folded_max);
-    }
-
-    /// Primitive level: the stencil row form (`accumulate_rows_max`, one
-    /// cluster's kernel rows in one plane) — identical rewritten states and
-    /// reduced maximum on both kernels, and identical to one
-    /// `accumulate_span` per row, for row widths 1..=9 (one past the block
-    /// width) over a padded pool.
-    #[test]
-    fn stencil_rows_match_scalar_and_per_row_spans(
-        mem in prop::collection::vec(-128i16..=127, 24..64),
-        pool in prop::collection::vec(-128i8..=127, 48..49),
-        taps in 1usize..10,
-        rows in prop::collection::vec((0usize..64, 0usize..64), 1..4),
-        plane_start in 0usize..8,
-    ) {
-        use sne_sim::plan::StencilRow;
-        use sne_sim::simd::{BLOCK_LANES, LANE_FLOOR};
-
-        // Leave a vector step of room behind every row and weight run.
-        let step = taps.max(BLOCK_LANES);
-        let rows: Vec<(StencilRow, u32)> = rows
-            .iter()
-            .map(|&(at, w)| {
-                let start = (at % (mem.len() - step - plane_start)) as u32;
-                (StencilRow { start, cluster: 0 }, (w % (pool.len() - step)) as u32)
-            })
-            .collect();
-        let stencil: Vec<StencilRow> = rows.iter().map(|r| r.0).collect();
-        let starts: Vec<u32> = rows.iter().map(|r| r.1).collect();
-
-        let mut folded = mem.clone();
-        let mut folded_max = i16::from(i8::MIN);
-        for (row, &w) in stencil.iter().zip(&starts) {
-            let at = plane_start + row.start as usize;
-            let w = w as usize;
-            folded_max = folded_max.max(
-                Kernel::Scalar.accumulate_span(&mut folded, at, &pool[w..w + taps]),
-            );
-        }
-        for kernel in [Kernel::Scalar, Kernel::Blocked] {
-            let mut states = mem.clone();
-            let mut lanes = LANE_FLOOR;
-            kernel.accumulate_rows_max(
-                &mut states, plane_start, &stencil, &starts, &pool, taps, &mut lanes,
-            );
-            prop_assert_eq!(&states, &folded);
-            prop_assert_eq!(kernel.reduce_lane_max(&lanes), folded_max);
-        }
     }
 
     /// Primitive level: saturation storm — every state and weight pinned to
@@ -393,25 +348,28 @@ proptest! {
         }
     }
 
-    /// Engine level, both sides of the stencil condition: planes that are
-    /// and are not a whole number of clusters, rows that straddle a
-    /// cluster, slice ranges that split a plane, kernels 1, 3 and 5, and
-    /// multi-pass layers (up to 12 output channels on 2-3 slices). The
-    /// blocked planned run — stencil walk where it applies, span walk
-    /// elsewhere — must equal the scalar naive oracle exactly, traces
+    /// Engine level, both sides of the pass arena's condition: planes that
+    /// are and are not a whole number of clusters, passes that do and do
+    /// not hold whole planes, slices that split a plane, partly used last
+    /// slices and last passes, kernels 1, 3 and 5, one or two input
+    /// channels, multi-pass layers (up to 12 output channels on 2-3
+    /// slices), negative leaks and thresholds, and TLU and clock gating on
+    /// and off. The blocked planned run — pass arena where it applies, span
+    /// walk elsewhere — must equal the scalar naive oracle exactly, traces
     /// included.
     #[test]
-    fn stencil_and_span_walks_match_the_scalar_oracle(
-        geometry in 0usize..STENCIL_GEOMETRIES.len(),
+    fn arena_and_span_walks_match_the_scalar_oracle(
+        geometry in 0usize..ARENA_GEOMETRIES.len(),
         kernel_index in 0usize..3,
         in_channels in 1u16..3,
         out_channels in 1u16..13,
-        params in (0i16..3, 1i16..6),
+        params in (-2i16..3, -1i16..6),
         num_slices in 2usize..4,
         spikes in prop::collection::vec((0u32..10, 0u16..2, 0u16..64, 0u16..64), 20..120),
         weight_seed in 0u64..1000,
+        switches in 0u8..4,
     ) {
-        let (height, width) = STENCIL_GEOMETRIES[geometry];
+        let (height, width) = ARENA_GEOMETRIES[geometry];
         let kernel = [1u16, 3, 5][kernel_index];
         let (leak, threshold) = params;
         let mapping = conv_mapping(
@@ -419,8 +377,12 @@ proptest! {
             LifHardwareParams { leak, threshold },
         );
         let plan = LayerPlan::build(&mapping);
-        let stream = stencil_stream(height, width, in_channels, 10, &spikes);
-        let config = small_config(num_slices);
+        let stream = arena_stream(height, width, in_channels, 10, &spikes);
+        let config = SneConfig {
+            tlu_enabled: switches & 1 == 0,
+            clock_gating: switches & 2 == 0,
+            ..small_config(num_slices)
+        };
         let mut oracle = Engine::new(config);
         oracle.set_kernel(Kernel::Scalar);
         oracle.enable_trace(4096);
@@ -435,46 +397,67 @@ proptest! {
         }
     }
 
-    /// Chunked resume on both sides of the stencil condition: the blocked
-    /// planned engine must persist **exactly** the scalar naive oracle's
-    /// state (membranes, pending leaks, dirty flags) at every cut, with
-    /// identical per-chunk runs. The stencil walk's per-cluster maximum
-    /// decides fire-scan elision, which the persisted pending leaks expose.
+    /// Chunked resume on both sides of the pass arena's condition: the
+    /// blocked planned engine must persist **exactly** the scalar naive
+    /// oracle's state (membranes, pending leaks, dirty flags) at every cut,
+    /// with identical per-chunk runs, for leaks of either sign, with the TLU
+    /// on and off, and for two clients interleaved on one engine. The
+    /// arena's per-lane block maximum decides fire-scan elision, which the
+    /// persisted pending leaks expose, and its scatter and gather move every
+    /// membrane across the cut.
     #[test]
-    fn stencil_chunked_resume_persists_the_oracle_state(
-        geometry in 0usize..STENCIL_GEOMETRIES.len(),
+    fn arena_chunked_resume_persists_the_oracle_state(
+        geometry in 0usize..ARENA_GEOMETRIES.len(),
         kernel_index in 0usize..3,
         out_channels in 1u16..13,
-        threshold in 2i16..7,
+        params in (-1i16..2, 0i16..7),
         cut in 1u32..12,
         spikes in prop::collection::vec((0u32..12, 0u16..1, 0u16..64, 0u16..64), 40..140),
         weight_seed in 0u64..1000,
+        tlu_off in 0u8..2,
     ) {
-        let (height, width) = STENCIL_GEOMETRIES[geometry];
+        let (height, width) = ARENA_GEOMETRIES[geometry];
         let kernel = [1u16, 3, 5][kernel_index];
+        let (leak, threshold) = params;
         let mapping = conv_mapping(
             1, height, width, out_channels, kernel, weight_seed,
-            LifHardwareParams { leak: 1, threshold },
+            LifHardwareParams { leak, threshold },
         );
         let plan = LayerPlan::build(&mapping);
-        let stream = stencil_stream(height, width, 1, 12, &spikes);
-        let config = small_config(2);
+        // Two clients interleaved on one engine, the second fed a few of
+        // the spikes mirrored in time: each resume must import its own
+        // state, whatever the other left in the engine.
+        let mirrored: Vec<_> = spikes
+            .iter()
+            .take(4)
+            .map(|&(t, ch, x, y)| (11 - t % 12, ch, x, y))
+            .collect();
+        let streams = [
+            arena_stream(height, width, 1, 12, &spikes),
+            arena_stream(height, width, 1, 12, &mirrored),
+        ];
+        let config = SneConfig {
+            tlu_enabled: tlu_off == 0,
+            ..small_config(2)
+        };
         let mut oracle = Engine::new(config);
         oracle.set_kernel(Kernel::Scalar);
-        let mut oracle_state = LayerState::new(&config, &mapping);
+        let mut oracle_states = [LayerState::new(&config, &mapping), LayerState::new(&config, &mapping)];
         let mut engine = Engine::new(config);
         engine.set_kernel(Kernel::Blocked);
-        let mut state = LayerState::new(&config, &mapping);
+        let mut states = oracle_states.clone();
         for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
-            let chunk = stream.window(start, end);
-            let expected = oracle
-                .run_layer_stateful(&mapping, &chunk, &mut oracle_state, i > 0)
-                .unwrap();
-            let result = engine
-                .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
-                .unwrap();
-            prop_assert_eq!(&result, &expected);
-            prop_assert_eq!(&state, &oracle_state);
+            for client in 0..2 {
+                let chunk = streams[client].window(start, end);
+                let expected = oracle
+                    .run_layer_stateful(&mapping, &chunk, &mut oracle_states[client], i > 0)
+                    .unwrap();
+                let result = engine
+                    .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut states[client], i > 0)
+                    .unwrap();
+                prop_assert_eq!(&result, &expected);
+                prop_assert_eq!(&states[client], &oracle_states[client]);
+            }
         }
     }
 
@@ -627,4 +610,55 @@ fn session_results_agree_across_kernels_on_the_fig6_network() {
             "kernel {kernel:?}"
         );
     }
+}
+
+/// Session level, the benchmark's own geometry: Fig. 6 at 32×32 on 8
+/// slices, where l0 runs 4 passes of 8 channels and l1 one pass of 32 on
+/// the pass arena. A short stream pushed in chunks through
+/// [`RuntimeArtifact::push`] leaves the identical [`ClientState`]
+/// (membranes, pending leaks, dirty flags, accumulators) and identical chunk
+/// outputs on the blocked kernel as on the planned scalar-kernel oracle.
+///
+/// [`RuntimeArtifact::push`]: sne::artifact::RuntimeArtifact::push
+/// [`ClientState`]: sne::artifact::ClientState
+#[test]
+fn chunked_pushes_agree_across_kernels_on_the_32x32_fig6_network() {
+    use sne::artifact::RuntimeArtifact;
+    use sne::compile::CompiledNetwork;
+    use sne_model::topology::Topology;
+    use sne_model::Shape;
+
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
+    let network =
+        CompiledNetwork::random(&Topology::paper_fig6(Shape::new(2, 32, 32), 11), &mut rng)
+            .unwrap();
+    let artifact = RuntimeArtifact::new(network, SneConfig::with_slices(8)).unwrap();
+    let stream = sne::proportionality::stream_with_activity((2, 32, 32), 8, 0.04, 23);
+
+    let mut clients = Vec::new();
+    let mut outputs = Vec::new();
+    for kernel in [Kernel::Scalar, Kernel::Blocked] {
+        let mut engine = artifact.new_engine(ExecStrategy::Sequential);
+        engine.set_kernel(kernel);
+        let mut client = artifact.new_client();
+        let chunks: Vec<_> = stream
+            .chunks(3)
+            .map(|chunk| {
+                artifact
+                    .push(&mut engine, &mut client, &chunk, true)
+                    .unwrap()
+            })
+            .collect();
+        outputs.push(chunks);
+        clients.push(client);
+    }
+    assert!(
+        outputs[0]
+            .iter()
+            .any(|chunk| chunk.output.spike_count() > 0),
+        "the stream must drive spikes or the comparison is vacuous"
+    );
+    assert_eq!(outputs[1], outputs[0]);
+    assert_eq!(clients[1], clients[0]);
+    assert_eq!(artifact.summary(&clients[1]), artifact.summary(&clients[0]));
 }
