@@ -1,7 +1,7 @@
 //! Measures the compiled sparse datapath (plan) against the naive mapping
 //! walk and emits a machine-readable `BENCH_datapath.json`, tracking the
 //! host-time trajectory of the event datapath from PR to PR (the companion of
-//! `BENCH_session.json` and `BENCH_parallel.json`).
+//! `BENCH_session.json`).
 //!
 //! The workload is the Fig. 6 @ 32x32 session inference over 48 timesteps
 //! (long enough that the 0.1 % point carries ~200 input events and its ratio

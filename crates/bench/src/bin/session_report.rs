@@ -5,8 +5,6 @@
 //! ```bash
 //! cargo run --release -p sne_bench --bin session_report                      # full run
 //! cargo run --release -p sne_bench --bin session_report -- --smoke          # CI smoke
-//! cargo run --release -p sne_bench --bin session_report -- --threads 4      # threaded engine
-//! cargo run --release -p sne_bench --bin session_report -- --threads auto   # host-sized
 //! cargo run --release -p sne_bench --bin session_report -- --out x.json
 //! ```
 
@@ -14,7 +12,7 @@ use std::time::Instant;
 
 use sne::batch::{BatchRunner, LatencySummary};
 use sne::session::InferenceSession;
-use sne::{ExecStrategy, SneAccelerator};
+use sne::SneAccelerator;
 use sne_bench::{fig6_network, workload};
 use sne_sim::SneConfig;
 
@@ -53,20 +51,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_session.json".to_owned());
-    // Engine execution strategy: --threads N fans the per-slice workers of
-    // every measured path out over N host threads; --threads auto sizes the
-    // fan-out to the host (sequential on a 1-core machine, where spawning
-    // can only lose). Bit-identical results either way; the JSON records the
-    // resolved strategy so artifacts are comparable.
-    let threads_arg = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1).cloned());
-    let exec = match threads_arg.as_deref() {
-        Some("auto") => ExecStrategy::auto(),
-        Some(n) => ExecStrategy::from_threads(n.parse().unwrap_or(1)),
-        None => ExecStrategy::Sequential,
-    };
     let iterations: u32 = if smoke { 5 } else { 100 };
 
     let config = SneConfig::with_slices(8);
@@ -75,7 +59,7 @@ fn main() {
     // Old path: compile + allocate + run, per call.
     let per_call = measure("per_call_compile_and_run", iterations, || {
         let network = fig6_network(32, 11, 5);
-        let mut accelerator = SneAccelerator::with_exec(config, exec);
+        let mut accelerator = SneAccelerator::new(config);
         accelerator
             .run(&network, &stream)
             .unwrap()
@@ -85,7 +69,7 @@ fn main() {
 
     // Middle ground: compile once, per-call accelerator entry point.
     let network = fig6_network(32, 11, 5);
-    let mut accelerator = SneAccelerator::with_exec(config, exec);
+    let mut accelerator = SneAccelerator::new(config);
     let reference = accelerator.run(&network, &stream).unwrap();
     let accel_reuse = measure("accelerator_reuse", iterations, || {
         accelerator
@@ -96,14 +80,14 @@ fn main() {
     });
 
     // New path: one persistent session, repeated inference.
-    let mut session = InferenceSession::with_exec(network.clone(), config, exec).unwrap();
+    let mut session = InferenceSession::new(network.clone(), config).unwrap();
     let session_result = session.infer(&stream).unwrap();
     let session_reuse = measure("session_infer", iterations, || {
         session.infer(&stream).unwrap().stats.total_cycles
     });
 
     // Streaming: same feed in 4-timestep chunks through one session.
-    let mut streaming = InferenceSession::with_exec(network, config, exec).unwrap();
+    let mut streaming = InferenceSession::new(network, config).unwrap();
     let session_push = measure("session_push_chunks", iterations, || {
         streaming.reset();
         stream
@@ -126,13 +110,7 @@ fn main() {
     //    a closed burst cannot gate queue-wait, since every job then waits
     //    on the backlog ahead of it by construction.
     let batch_streams: Vec<_> = (0..8).map(|i| workload(32, 12, 0.01, 70 + i)).collect();
-    let mut runner = BatchRunner::with_exec(
-        fig6_network(32, 11, 5),
-        config,
-        4,
-        ExecStrategy::threaded(4),
-    )
-    .expect("runner builds");
+    let mut runner = BatchRunner::new(fig6_network(32, 11, 5), config, 4).expect("runner builds");
     let _warmup = runner.run(&batch_streams).expect("warmup batch runs");
     let batch = runner.run(&batch_streams).expect("batch runs");
 
@@ -203,15 +181,6 @@ fn main() {
     ));
     json.push_str(&format!("  \"iterations\": {},\n", iterations));
     json.push_str("  \"datapath\": \"plan\",\n");
-    json.push_str(&format!("  \"threads\": {},\n", exec.threads()));
-    json.push_str(&format!(
-        "  \"strategy\": \"{}\",\n",
-        if exec.is_parallel() {
-            "threaded"
-        } else {
-            "sequential"
-        }
-    ));
     json.push_str(
         "  \"workload\": {\"network\": \"fig6_32x32\", \"timesteps\": 12, \"activity\": 0.01, \"slices\": 8},\n",
     );
@@ -228,10 +197,9 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"batch\": {{\"lanes\": {}, \"streams\": {}, \"threads\": {}, \"queue_p50_us\": {:.1}, \"queue_p99_us\": {:.1}, \"service_p50_us\": {:.1}, \"service_p95_us\": {:.1}, \"service_p99_us\": {:.1}, \"lane_utilization\": [{}], \"utilization_spread\": {:.3}, \"steals\": {}}},\n",
+        "  \"batch\": {{\"lanes\": {}, \"streams\": {}, \"queue_p50_us\": {:.1}, \"queue_p99_us\": {:.1}, \"service_p50_us\": {:.1}, \"service_p95_us\": {:.1}, \"service_p99_us\": {:.1}, \"lane_utilization\": [{}], \"utilization_spread\": {:.3}, \"steals\": {}}},\n",
         batch.lanes,
         batch.results.len(),
-        batch.threads,
         batch.queue_latency.p50_us,
         batch.queue_latency.p99_us,
         batch.service_latency.p50_us,

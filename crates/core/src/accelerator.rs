@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sne_event::EventStream;
-use sne_sim::{Engine, ExecStrategy, LayerMapping, LayerPlan, SneConfig};
+use sne_sim::{Engine, LayerMapping, LayerPlan, SneConfig};
 
 use crate::compile::{CompiledNetwork, Stage};
 use crate::run::InferenceResult;
@@ -30,16 +30,8 @@ impl SneAccelerator {
     /// Creates an accelerator with the given engine configuration.
     #[must_use]
     pub fn new(config: SneConfig) -> Self {
-        Self::with_exec(config, ExecStrategy::Sequential)
-    }
-
-    /// Creates an accelerator whose engine fans its per-slice worker units
-    /// out with the given [`ExecStrategy`] (bit-identical results for every
-    /// strategy; only host wall-clock time differs).
-    #[must_use]
-    pub fn with_exec(config: SneConfig, exec: ExecStrategy) -> Self {
         Self {
-            engine: Engine::with_exec(config, exec),
+            engine: Engine::new(config),
             cached_plans: None,
         }
     }
@@ -131,13 +123,10 @@ impl SneAccelerator {
         let mut engines: Vec<Engine> = pipeline_shares(network, &config)?
             .into_iter()
             .map(|num_slices| {
-                Engine::with_exec(
-                    SneConfig {
-                        num_slices,
-                        ..config
-                    },
-                    self.engine.exec(),
-                )
+                Engine::new(SneConfig {
+                    num_slices,
+                    ..config
+                })
             })
             .collect();
         let plans = self.plans_for(network);

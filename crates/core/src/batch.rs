@@ -12,15 +12,16 @@
 //!   each worker checks one engine out for its whole lifetime — no
 //!   per-request checkout churn.
 //! * [`Scheduler`] is a **work-stealing** run-queue fabric (std
-//!   `Mutex`/`Condvar`/`mpsc`, no new dependencies): every worker owns one
-//!   engine and a local double-ended queue, requests go to the affine or
-//!   least-loaded worker, the owner serves its queue oldest first, and an
-//!   idle worker steals the newest job of the most-loaded one — so one hot
-//!   queue can never strand the rest of the fleet idle (the
-//!   `[0, 0, 0, 0.98]` lane-utilization collapse of the old single-FIFO
-//!   design). Every completion carries its **queue-wait** and **service**
-//!   latency ([`RequestRecord`]). Streaming clients may pass a lane
-//!   **affinity hint**; because state is engine-agnostic
+//!   `Mutex`/`Condvar`/`mpsc`, no new dependencies) with exactly one worker
+//!   thread per engine of the pool, the only host threads a fleet runs:
+//!   every worker owns one engine and a local double-ended queue, requests
+//!   go to the affine or least-loaded worker, the owner serves its queue
+//!   oldest first, and an idle worker steals the newest job of the
+//!   most-loaded one — so one hot queue can never strand the rest of the
+//!   fleet idle (the `[0, 0, 0, 0.98]` lane-utilization collapse of the old
+//!   single-FIFO design). Every completion carries its **queue-wait** and
+//!   **service** latency ([`RequestRecord`]). Streaming clients may pass a
+//!   lane **affinity hint**; because state is engine-agnostic
 //!   ([`RuntimeArtifact::push`]), affinity is an optimization only — a
 //!   stolen (affinity-miss) request is bit-identical.
 //! * [`BatchRunner`] is the closed-batch convenience preserved from the
@@ -34,7 +35,7 @@
 //! the engine's scratch client first), *which* engine serves a request can
 //! never change its result: the dynamic scheduler's per-stream results are
 //! bit-identical to the static round-robin runner's, in input order, for
-//! every [`ExecStrategy`]. Only the host-measured latencies differ.
+//! every fleet size. Only the host-measured latencies differ.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use sne_event::EventStream;
-use sne_sim::{CycleStats, Engine, ExecStrategy, SneConfig};
+use sne_sim::{CycleStats, Engine, SneConfig};
 
 use crate::artifact::{ClientState, RuntimeArtifact};
 use crate::compile::CompiledNetwork;
@@ -109,11 +110,11 @@ pub struct PooledEngine {
 }
 
 impl PooledEngine {
-    fn new(lane: usize, artifact: &Arc<RuntimeArtifact>, exec: ExecStrategy) -> Self {
+    fn new(lane: usize, artifact: &Arc<RuntimeArtifact>) -> Self {
         Self {
             lane,
             artifact: Arc::clone(artifact),
-            engine: artifact.new_engine(exec),
+            engine: Engine::new(*artifact.config()),
             scratch: artifact.new_client(),
         }
     }
@@ -172,23 +173,17 @@ pub struct EnginePool {
 
 impl EnginePool {
     /// Builds `lanes` engines (and scratch clients) against `artifact`, all
-    /// allocated here, once. `engine_exec` is each engine's per-slice worker
-    /// fan-out (keep it [`ExecStrategy::Sequential`] when the parallelism
-    /// lives across lanes, as in [`BatchRunner`]).
+    /// allocated here, once.
     ///
     /// # Errors
     ///
     /// Returns [`SneError::EmptyBatch`] if `lanes` is zero.
-    pub fn new(
-        artifact: Arc<RuntimeArtifact>,
-        lanes: usize,
-        engine_exec: ExecStrategy,
-    ) -> Result<Self, SneError> {
+    pub fn new(artifact: Arc<RuntimeArtifact>, lanes: usize) -> Result<Self, SneError> {
         if lanes == 0 {
             return Err(SneError::EmptyBatch);
         }
         let idle = (0..lanes)
-            .map(|lane| PooledEngine::new(lane, &artifact, engine_exec))
+            .map(|lane| PooledEngine::new(lane, &artifact))
             .collect();
         Ok(Self {
             artifact,
@@ -208,16 +203,11 @@ impl EnginePool {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
         lanes: usize,
-        engine_exec: ExecStrategy,
     ) -> Result<Self, SneError> {
         if lanes == 0 {
             return Err(SneError::EmptyBatch);
         }
-        Self::new(
-            Arc::new(RuntimeArtifact::new(network, config)?),
-            lanes,
-            engine_exec,
-        )
+        Self::new(Arc::new(RuntimeArtifact::new(network, config)?), lanes)
     }
 
     /// Total engines in the fleet.
@@ -467,15 +457,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts `workers` worker threads over `pool`, each owning one engine
-    /// checked out for the worker's lifetime. `workers` is clamped to the
-    /// pool size (an engine-less worker could serve nothing); size with
-    /// [`ExecStrategy::pool_workers`]. Blocks until `workers` engines are
-    /// free, so build the scheduler over a pool whose engines are not
-    /// checked out elsewhere.
+    /// Starts one worker thread per engine of `pool`, each owning its
+    /// engine for the worker's lifetime. Blocks until every engine is free,
+    /// so build the scheduler over a pool whose engines are not checked out
+    /// elsewhere.
     #[must_use]
-    pub fn new(pool: Arc<EnginePool>, workers: usize) -> Self {
-        let workers = workers.clamp(1, pool.lanes());
+    pub fn new(pool: Arc<EnginePool>) -> Self {
+        let workers = pool.lanes();
         let mut engines: Vec<PooledEngine> = (0..workers).map(|_| pool.checkout()).collect();
         // Deterministic worker→lane mapping (lowest lanes first), so tests
         // and telemetry can reason about placement.
@@ -515,7 +503,7 @@ impl Scheduler {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads: one per engine of the pool.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -842,8 +830,6 @@ pub struct BatchReport {
     pub aggregate_rate: f64,
     /// Mean energy per inference in µJ (0 for an empty batch).
     pub mean_energy_uj: f64,
-    /// Host worker threads that drove the engines (1 for a sequential run).
-    pub threads: usize,
     /// Host wall-clock queue-wait latency per request (zero for the
     /// statically pinned [`BatchRunner::run_round_robin`], which has no
     /// queue).
@@ -907,8 +893,8 @@ pub struct BatchRunner {
 
 impl BatchRunner {
     /// Compiles-once and opens a pool of `lanes` engines sharing the
-    /// compiled artifact, with one scheduler worker (requests served
-    /// sequentially).
+    /// compiled artifact, served by a [`Scheduler`] with one worker thread
+    /// per engine — the independent SNE instances of the fleet.
     ///
     /// # Errors
     ///
@@ -919,31 +905,8 @@ impl BatchRunner {
         config: SneConfig,
         lanes: usize,
     ) -> Result<Self, SneError> {
-        Self::with_exec(network, config, lanes, ExecStrategy::Sequential)
-    }
-
-    /// Like [`BatchRunner::new`], but requests are served by
-    /// `exec.pool_workers(lanes)` scheduler worker threads. Each engine
-    /// stays sequential — the parallelism lives across the fleet, mirroring
-    /// the independent SNE instances — and every per-stream result is
-    /// bit-identical to the sequential runner's.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BatchRunner::new`].
-    pub fn with_exec(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-        lanes: usize,
-        exec: ExecStrategy,
-    ) -> Result<Self, SneError> {
-        let pool = Arc::new(EnginePool::for_network(
-            network,
-            config,
-            lanes,
-            ExecStrategy::Sequential,
-        )?);
-        let scheduler = Scheduler::new(Arc::clone(&pool), exec.pool_workers(lanes));
+        let pool = Arc::new(EnginePool::for_network(network, config, lanes)?);
+        let scheduler = Scheduler::new(Arc::clone(&pool));
         Ok(Self { pool, scheduler })
     }
 
@@ -1014,7 +977,6 @@ impl BatchRunner {
         Ok(assemble_report(
             results,
             self.pool.lanes(),
-            self.scheduler.workers(),
             &queue_samples,
             &service_samples,
             &lane_busy_us,
@@ -1045,7 +1007,7 @@ impl BatchRunner {
         let wall_start = Instant::now();
         let lanes = self.pool.lanes();
         let mut engines: Vec<PooledEngine> = (0..lanes)
-            .map(|lane| PooledEngine::new(lane, self.pool.artifact(), ExecStrategy::Sequential))
+            .map(|lane| PooledEngine::new(lane, self.pool.artifact()))
             .collect();
         let mut results = Vec::with_capacity(streams.len());
         let mut service_samples = Vec::with_capacity(streams.len());
@@ -1061,7 +1023,6 @@ impl BatchRunner {
         Ok(assemble_report(
             results,
             lanes,
-            1,
             &vec![0.0f64; streams.len()],
             &service_samples,
             &lane_busy_us,
@@ -1083,11 +1044,9 @@ struct StealTelemetry {
 /// Builds the aggregated report from per-stream results plus the
 /// host-measured latency samples — shared by the dynamic and the round-robin
 /// runner so the deterministic (modelled) fields cannot drift apart.
-#[allow(clippy::too_many_arguments)]
 fn assemble_report(
     results: Vec<InferenceResult>,
     lanes: usize,
-    threads: usize,
     queue_samples: &[f64],
     service_samples: &[f64],
     lane_busy_us: &[f64],
@@ -1139,7 +1098,6 @@ fn assemble_report(
         makespan_ms,
         aggregate_rate,
         mean_energy_uj,
-        threads,
         queue_latency: LatencySummary::from_samples_us(queue_samples),
         service_latency: LatencySummary::from_samples_us(service_samples),
         lane_utilization,
@@ -1180,7 +1138,7 @@ mod tests {
         let artifact =
             Arc::new(RuntimeArtifact::new(compiled(), SneConfig::with_slices(2)).unwrap());
         assert!(matches!(
-            EnginePool::new(artifact, 0, ExecStrategy::Sequential),
+            EnginePool::new(artifact, 0),
             Err(SneError::EmptyBatch)
         ));
     }
@@ -1206,13 +1164,7 @@ mod tests {
 
     #[test]
     fn pool_checkout_and_checkin_cycle_every_lane() {
-        let pool = EnginePool::for_network(
-            compiled(),
-            SneConfig::with_slices(2),
-            3,
-            ExecStrategy::Sequential,
-        )
-        .unwrap();
+        let pool = EnginePool::for_network(compiled(), SneConfig::with_slices(2), 3).unwrap();
         assert_eq!(pool.lanes(), 3);
         assert_eq!(pool.idle_lanes(), 3);
         let a = pool.checkout();
@@ -1237,15 +1189,8 @@ mod tests {
 
     #[test]
     fn pooled_engines_serve_parked_client_states() {
-        let pool = Arc::new(
-            EnginePool::for_network(
-                compiled(),
-                SneConfig::with_slices(2),
-                2,
-                ExecStrategy::Sequential,
-            )
-            .unwrap(),
-        );
+        let pool =
+            Arc::new(EnginePool::for_network(compiled(), SneConfig::with_slices(2), 2).unwrap());
         let stream = &streams(1)[0];
         let mut reference = InferenceSession::new(
             Arc::clone(pool.artifact().network_arc()),
@@ -1271,16 +1216,9 @@ mod tests {
 
     #[test]
     fn scheduler_submit_drain_returns_submission_order() {
-        let pool = Arc::new(
-            EnginePool::for_network(
-                compiled(),
-                SneConfig::with_slices(2),
-                3,
-                ExecStrategy::Sequential,
-            )
-            .unwrap(),
-        );
-        let mut scheduler = Scheduler::new(Arc::clone(&pool), 3);
+        let pool =
+            Arc::new(EnginePool::for_network(compiled(), SneConfig::with_slices(2), 3).unwrap());
+        let mut scheduler = Scheduler::new(Arc::clone(&pool));
         assert_eq!(scheduler.workers(), 3);
         let streams = streams(7);
         let ids: Vec<u64> = streams
@@ -1310,16 +1248,9 @@ mod tests {
 
     #[test]
     fn scheduler_shutdown_drains_queued_work() {
-        let pool = Arc::new(
-            EnginePool::for_network(
-                compiled(),
-                SneConfig::with_slices(2),
-                1,
-                ExecStrategy::Sequential,
-            )
-            .unwrap(),
-        );
-        let mut scheduler = Scheduler::new(Arc::clone(&pool), 1);
+        let pool =
+            Arc::new(EnginePool::for_network(compiled(), SneConfig::with_slices(2), 1).unwrap());
+        let mut scheduler = Scheduler::new(Arc::clone(&pool));
         for stream in streams(5) {
             let _ = scheduler.submit(stream);
         }
@@ -1407,27 +1338,23 @@ mod tests {
 
     #[test]
     fn threaded_lanes_produce_a_bit_identical_report() {
+        // One worker thread per lane: a wider fleet serves the same streams
+        // on more threads, with the per-stream results of one lane.
         let network = Arc::new(compiled());
         let streams = streams(9);
-        let mut sequential =
-            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), 4).unwrap();
-        let reference = sequential.run(&streams).unwrap();
-        assert_eq!(reference.threads, 1);
-        for threads in [2usize, 3, 8] {
-            let mut parallel = BatchRunner::with_exec(
-                Arc::clone(&network),
-                SneConfig::with_slices(2),
-                4,
-                ExecStrategy::threaded(threads),
-            )
-            .unwrap();
-            let report = parallel.run(&streams).unwrap();
-            assert_eq!(report.threads, threads.min(4));
-            assert_eq!(report.results, reference.results, "threads = {threads}");
+        let mut single =
+            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), 1).unwrap();
+        let reference = single.run(&streams).unwrap();
+        for lanes in [2usize, 3, 8] {
+            let mut fleet =
+                BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
+            assert_eq!(fleet.scheduler().workers(), lanes);
+            let report = fleet.run(&streams).unwrap();
+            assert_eq!(report.lanes, lanes);
+            assert_eq!(report.results, reference.results, "lanes = {lanes}");
             assert_eq!(report.total_stats, reference.total_stats);
-            assert_eq!(report.lanes, reference.lanes);
-            assert!((report.makespan_ms - reference.makespan_ms).abs() < 1e-12);
             assert!((report.total_energy_uj - reference.total_energy_uj).abs() < 1e-12);
+            assert!(report.makespan_ms <= reference.makespan_ms + 1e-12);
         }
     }
 
@@ -1438,19 +1365,12 @@ mod tests {
         // Streams 2 and 5 are malformed (wrong geometry).
         streams[2] = EventStream::new(16, 16, 2, 8);
         streams[5] = EventStream::new(4, 4, 1, 8);
-        let mut sequential =
-            BatchRunner::new(network.clone(), SneConfig::with_slices(2), 3).unwrap();
-        let expected = sequential.run(&streams).unwrap_err();
-        assert_eq!(sequential.run_round_robin(&streams).unwrap_err(), expected);
-        let mut parallel = BatchRunner::with_exec(
-            network,
-            SneConfig::with_slices(2),
-            3,
-            ExecStrategy::threaded(3),
-        )
-        .unwrap();
-        assert_eq!(parallel.run(&streams).unwrap_err(), expected);
-        assert_eq!(parallel.run_round_robin(&streams).unwrap_err(), expected);
+        let mut single = BatchRunner::new(network.clone(), SneConfig::with_slices(2), 1).unwrap();
+        let expected = single.run(&streams).unwrap_err();
+        assert_eq!(single.run_round_robin(&streams).unwrap_err(), expected);
+        let mut fleet = BatchRunner::new(network, SneConfig::with_slices(2), 3).unwrap();
+        assert_eq!(fleet.run(&streams).unwrap_err(), expected);
+        assert_eq!(fleet.run_round_robin(&streams).unwrap_err(), expected);
     }
 
     #[test]
@@ -1465,9 +1385,9 @@ mod tests {
         assert_eq!(report.lane_utilization, vec![0.0, 0.0]);
         assert_eq!(report.utilization_spread, 0.0);
         assert_eq!(report.steals, 0);
-        // The sequential runner's single worker owns one of the two engines
-        // for the scheduler's lifetime; the other lane stays idle.
-        assert_eq!(runner.pool.idle_lanes(), 1);
+        // One worker per lane owns every engine for the scheduler's
+        // lifetime.
+        assert_eq!(runner.pool.idle_lanes(), 0);
         let pool = Arc::clone(&runner.pool);
         drop(runner);
         assert_eq!(pool.idle_lanes(), 2);
@@ -1489,16 +1409,9 @@ mod tests {
     fn one_queue_serves_arrival_order_and_a_thief_takes_the_newest_job() {
         // One worker, parked inside the first job's reply until released, so
         // everything below queues behind it in a known order.
-        let pool = Arc::new(
-            EnginePool::for_network(
-                compiled(),
-                SneConfig::with_slices(2),
-                1,
-                ExecStrategy::Sequential,
-            )
-            .unwrap(),
-        );
-        let mut scheduler = Scheduler::new(pool, 1);
+        let pool =
+            Arc::new(EnginePool::for_network(compiled(), SneConfig::with_slices(2), 1).unwrap());
+        let mut scheduler = Scheduler::new(pool);
         let stream = Arc::new(streams(1).remove(0));
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();

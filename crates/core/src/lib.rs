@@ -39,11 +39,10 @@
 //! dynamic scheduler is proven bit-identical against), and the `sne_serve`
 //! crate is the HTTP front-end over the same tiers.
 //!
-//! Every entry point accepts an [`ExecStrategy`] at construction (`with_exec`
-//! constructors): `Threaded(n)` fans the simulator's independent units —
-//! per-slice workers inside an engine, lanes of a [`batch::BatchRunner`] —
-//! out over host worker threads, with results bit-identical to `Sequential`
-//! for every `n`.
+//! Host threads follow the structure and nothing else: an engine runs every
+//! mapping pass on the thread that owns it, and a fleet runs exactly one
+//! [`batch::Scheduler`] worker per engine (DESIGN.md §8). No entry point
+//! takes a thread count.
 //!
 //! # Example
 //!
@@ -96,10 +95,6 @@ pub use compile::{CompiledNetwork, Stage};
 pub use error::SneError;
 pub use run::{InferenceResult, LayerExecution};
 pub use session::{ChunkOutput, InferenceSession};
-// The execution strategy is part of the top-level API surface: every entry
-// point (`SneAccelerator`, the sessions, `BatchRunner`) takes it via a
-// `with_exec` constructor.
-pub use sne_sim::ExecStrategy;
 
 // Re-export the crates a downstream user needs to drive the API.
 pub use sne_energy;

@@ -297,53 +297,21 @@ impl InferenceSession {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
     ) -> Result<Self, SneError> {
-        Self::with_exec(network, config, ExecStrategy::Sequential)
-    }
-
-    /// Builds a session whose engine fans its per-slice worker units out with
-    /// the given [`ExecStrategy`]. Results are bit-identical to
-    /// [`InferenceSession::new`] for every strategy; only wall-clock time on
-    /// the host differs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InferenceSession::new`].
-    pub fn with_exec(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-        exec: ExecStrategy,
-    ) -> Result<Self, SneError> {
-        let network = network.into();
-        let plans = Arc::new(network.build_plans());
-        Self::with_shared_plans(network, config, exec, plans)
-    }
-
-    /// Builds a session that reuses an already-compiled set of layer plans —
-    /// the constructor [`crate::batch::BatchRunner`] uses so N lanes share
-    /// one read-only table set instead of compiling N copies. The plans must
-    /// have been built from this `network` (one per accelerated layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SneError::Sim`] if `plans` does not match the network's
-    /// accelerated layers, plus the same errors as
-    /// [`InferenceSession::new`].
-    pub fn with_shared_plans(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-        exec: ExecStrategy,
-        plans: Arc<Vec<LayerPlan>>,
-    ) -> Result<Self, SneError> {
-        let artifact = RuntimeArtifact::with_shared_plans(network, config, plans)?;
-        Ok(Self::from_artifact(Arc::new(artifact), exec))
+        let artifact = RuntimeArtifact::new(network, config)?;
+        Ok(Self::from_artifact(
+            Arc::new(artifact),
+            ExecStrategy::Sequential,
+        ))
     }
 
     /// Builds a session around an already-compiled (and validated)
     /// [`RuntimeArtifact`]: allocates one engine and one client state.
-    /// Infallible — the artifact carries a validated configuration.
+    /// Infallible — the artifact carries a validated configuration. `_exec`
+    /// is unused: the engine runs on the caller's thread ([`ExecStrategy`]
+    /// has one value).
     #[must_use]
-    pub fn from_artifact(artifact: Arc<RuntimeArtifact>, exec: ExecStrategy) -> Self {
-        let engine = artifact.new_engine(exec);
+    pub fn from_artifact(artifact: Arc<RuntimeArtifact>, _exec: ExecStrategy) -> Self {
+        let engine = Engine::new(*artifact.config());
         let client = artifact.new_client();
         Self {
             artifact,
@@ -528,22 +496,18 @@ mod tests {
             CompiledNetwork::random(&Topology::tiny(Shape::new(2, 8, 8), 4, 3), &mut rng).unwrap();
         let foreign = Arc::new(other.build_plans());
         assert!(matches!(
-            InferenceSession::with_shared_plans(
-                network.clone(),
-                SneConfig::with_slices(2),
-                ExecStrategy::Sequential,
-                foreign,
-            ),
+            RuntimeArtifact::with_shared_plans(network.clone(), SneConfig::with_slices(2), foreign),
             Err(SneError::Sim(_))
         ));
         let own = Arc::new(network.build_plans());
-        let mut session = InferenceSession::with_shared_plans(
+        let artifact = RuntimeArtifact::with_shared_plans(
             network,
             SneConfig::with_slices(2),
-            ExecStrategy::Sequential,
             Arc::clone(&own),
         )
         .unwrap();
+        let mut session =
+            InferenceSession::from_artifact(Arc::new(artifact), ExecStrategy::Sequential);
         assert!(Arc::ptr_eq(session.plans(), &own));
         assert!(session.infer(&input_stream(3)).is_ok());
     }
@@ -636,22 +600,6 @@ mod tests {
         let session = InferenceSession::new(compiled(), SneConfig::with_slices(4)).unwrap();
         assert_eq!(session.config().num_slices, 4);
         assert_eq!(session.network().output_classes(), 3);
-    }
-
-    #[test]
-    fn threaded_session_is_bit_exact() {
-        let network = compiled();
-        let stream = input_stream(19);
-        let mut sequential =
-            InferenceSession::new(network.clone(), SneConfig::with_slices(2)).unwrap();
-        let expected = sequential.infer(&stream).unwrap();
-        let mut threaded = InferenceSession::with_exec(
-            network.clone(),
-            SneConfig::with_slices(2),
-            ExecStrategy::threaded(2),
-        )
-        .unwrap();
-        assert_eq!(threaded.infer(&stream).unwrap(), expected);
     }
 
     #[test]

@@ -235,9 +235,9 @@ impl ServerBuilder {
     }
 
     /// Compiles `network` under `config` and registers it as `name`, backed
-    /// by a pool of `lanes` engines (`engine_exec` is each engine's
-    /// per-slice fan-out). Registering the same name twice replaces the
-    /// earlier pool.
+    /// by a pool of `lanes` engines, each served by one scheduler worker
+    /// thread. `_exec` is unused ([`ExecStrategy`] has one value).
+    /// Registering the same name twice replaces the earlier pool.
     ///
     /// # Errors
     ///
@@ -248,9 +248,9 @@ impl ServerBuilder {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
         lanes: usize,
-        engine_exec: ExecStrategy,
+        _exec: ExecStrategy,
     ) -> Result<Self, SneError> {
-        let pool = EnginePool::for_network(network, config, lanes, engine_exec)?;
+        let pool = EnginePool::for_network(network, config, lanes)?;
         self.models.retain(|(n, _)| n != name);
         self.models.push((name.to_owned(), Arc::new(pool)));
         Ok(self)

@@ -306,7 +306,7 @@ impl Service {
                 // One worker per engine: the whole fleet serves. The pool's
                 // engines must be free here (the scheduler's workers check
                 // them out for the service's lifetime).
-                scheduler: Scheduler::new(Arc::clone(&pool), pool.lanes()),
+                scheduler: Scheduler::new(Arc::clone(&pool)),
                 name,
                 pool,
                 requests: AtomicU64::default(),
@@ -873,7 +873,7 @@ mod tests {
     use sne::session::InferenceSession;
     use sne_model::topology::Topology;
     use sne_model::Shape;
-    use sne_sim::{ExecStrategy, SneConfig};
+    use sne_sim::SneConfig;
 
     use super::*;
     use crate::sessions::tests::{store_dir, store_file};
@@ -906,7 +906,7 @@ mod tests {
     impl Harness {
         fn new(admission_limit: usize, session_capacity: usize, store: Option<&Path>) -> Self {
             let config = SneConfig::with_slices(2);
-            let pool = EnginePool::for_network(network(), config, 1, ExecStrategy::Sequential);
+            let pool = EnginePool::for_network(network(), config, 1);
             let models = vec![("tiny".to_owned(), Arc::new(pool.unwrap()))];
             let store = store.map(|dir| (dir.to_path_buf(), FsyncPolicy::Never));
             let (sink, done) = mpsc::channel();

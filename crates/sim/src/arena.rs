@@ -33,8 +33,10 @@
 //!   `l`'s maximum closes cluster (l, block), so the bound stays exact. A
 //!   block's taps are the same for every lane.
 //! * **Counts.** Each active slice gets its synaptic ops and its active and
-//!   gated clusters per event from per-(block, slice) lane counts: exactly
-//!   the span walk's per-slice figures, one `update_ops` entry per event.
+//!   gated clusters per update run from per-(block, slice) lane counts:
+//!   exactly the span walk's per-slice figures. An event's synaptic ops,
+//!   its taps times the pass's channels, go once into the engine's per-event
+//!   totals.
 //! * **`FIRE_OP`s** take the slices' own TLU and bound decisions
 //!   ([`Slice::fire_with`]), in slice and cluster order; the clusters left
 //!   to walk are swept together per block, one vector pass over the
@@ -51,8 +53,7 @@
 //!   the arena and the slices' own membranes.
 //!
 //! Every count, state, trace and output is bit-identical to the span walk,
-//! which remains the oracle (`tests/kernel_equivalence.rs`). The arena runs
-//! on the calling thread: a pass is one unit of work, not one per slice.
+//! which remains the oracle (`tests/kernel_equivalence.rs`).
 
 use sne_event::{Event, EventOp};
 
@@ -209,8 +210,6 @@ pub(crate) struct PassArena {
     walkers: Vec<Walker>,
     /// The current event's touched blocks and their taps, in tap order.
     event_blocks: Vec<(usize, u64)>,
-    /// The current event's synaptic ops per active slice.
-    event_ops: Vec<u64>,
     /// One block's membranes transposed to `[lane][position]`, the layout
     /// of a cluster's snapshot: state import and export stage here.
     staging: Vec<i16>,
@@ -218,7 +217,8 @@ pub(crate) struct PassArena {
 
 impl PassArena {
     /// Runs mapping pass `pass` of the convolution `conv` over every slice
-    /// of the engine: fills each slice's record exactly as
+    /// of the engine: fills each slice's record and adds each event's
+    /// synaptic ops into `event_ops` exactly as
     /// [`crate::worker::run_slice_pass`] would, and with `state` persists
     /// the pass's share of it.
     #[allow(clippy::too_many_arguments)]
@@ -231,6 +231,7 @@ impl PassArena {
         records: &mut [SliceRecord],
         state: Option<&mut LayerState>,
         ctx: &WorkerContext<'_>,
+        event_ops: &mut [u64],
     ) {
         let plane = conv.width * conv.height;
         let nps = config.neurons_per_slice();
@@ -280,7 +281,7 @@ impl PassArena {
             }
         }
 
-        self.walk_ops(&layout, conv.weights, slices, records, ctx);
+        self.walk_ops(&layout, conv.weights, slices, records, ctx, event_ops);
 
         if let Some(st) = state {
             for (s, slice) in slices[..active].iter().enumerate() {
@@ -408,6 +409,7 @@ impl PassArena {
         slices: &mut [Slice],
         records: &mut [SliceRecord],
         ctx: &WorkerContext<'_>,
+        event_ops: &mut [u64],
     ) {
         let ops = ctx.ops;
         let slices = &mut slices[..layout.active];
@@ -419,7 +421,7 @@ impl PassArena {
         while tail_fires > 0 && ops[tail_fires - 1].op == EventOp::Fire {
             tail_fires -= 1;
         }
-        let mut index = 0;
+        let (mut index, mut update_index) = (0, 0);
         while index < ops.len() {
             if ctx.tlu_enabled
                 && index >= tail_fires
@@ -447,7 +449,17 @@ impl PassArena {
                     while end < ops.len() && ops[end].op == EventOp::Update {
                         end += 1;
                     }
-                    self.update_run(&ops[index..end], layout, weights, slices, records, ctx);
+                    let totals = &mut event_ops[update_index..update_index + (end - index)];
+                    self.update_run(
+                        &ops[index..end],
+                        layout,
+                        weights,
+                        slices,
+                        records,
+                        ctx,
+                        totals,
+                    );
+                    update_index += end - index;
                     index = end - 1;
                 }
                 EventOp::Fire => self.fire(ops[index].t, layout, slices, records, ctx),
@@ -456,7 +468,9 @@ impl PassArena {
         }
     }
 
-    /// One update run: the `UPDATE_OP`s between two `FIRE_OP`s.
+    /// One update run: the `UPDATE_OP`s between two `FIRE_OP`s, with one
+    /// per-event synaptic-ops total each.
+    #[allow(clippy::too_many_arguments)]
     fn update_run(
         &mut self,
         events: &[Event],
@@ -465,12 +479,13 @@ impl PassArena {
         slices: &mut [Slice],
         records: &mut [SliceRecord],
         ctx: &WorkerContext<'_>,
+        event_ops: &mut [u64],
     ) {
         let mark = self.next_mark();
         self.zeroed = 0;
         let (width, kernel, stride) = (layout.width, layout.kernel, layout.stride);
         let half = kernel / 2;
-        for event in events {
+        for (event, total) in events.iter().zip(event_ops) {
             let (ch, x, y) = (
                 usize::from(event.ch),
                 usize::from(event.x),
@@ -521,23 +536,14 @@ impl PassArena {
                     top = bottom - 1;
                 }
             }
-            for &(block, taps) in &self.event_blocks {
-                self.block_taps[block] += taps;
+            let mut taps = 0;
+            for &(block, block_taps) in &self.event_blocks {
+                self.block_taps[block] += block_taps;
                 self.block_events[block] += 1;
+                taps += block_taps;
             }
-            // Each slice's synaptic ops for this event: its lanes in each
-            // touched block times the block's taps.
-            self.event_ops.clear();
-            self.event_ops.resize(layout.active, 0);
-            for &(block, taps) in &self.event_blocks {
-                let lanes = &self.lane_counts[block * layout.active..][..layout.active];
-                for (ops, &lanes) in self.event_ops.iter_mut().zip(lanes) {
-                    *ops += taps * u64::from(lanes);
-                }
-            }
-            for (record, &ops) in records.iter_mut().zip(&self.event_ops) {
-                record.update_ops.push(ops);
-            }
+            // Every tap updates every channel lane of the pass.
+            *total += taps * layout.channels as u64;
         }
         // The run's totals per slice: every event window counts each
         // slice's touched clusters active and the rest gated.

@@ -10,13 +10,16 @@
 //! crossbar: their word counts, transfers and stalls are priced by formula
 //! (see `dma_stall`).
 //!
-//! A planned convolution on [`Kernel::Blocked`] runs each mapping pass on
-//! the engine's pass arena (DESIGN.md §12): membranes interleaved by output
-//! channel, one walker over all of the pass's slices on the calling thread,
-//! so one input event updates every channel of the pass in whole vectors.
-//! Every other layer runs each pass as one worker unit per slice
-//! ([`crate::worker`]) fanned out by the engine's [`ExecStrategy`]. Both
-//! fill the same per-slice records, merged by one deterministic reduction.
+//! Every mapping pass runs on the thread that owns the engine: the slices
+//! run in lock step behind the crossbar in the hardware, and the cycle model
+//! charges them that way (DESIGN.md §8). A planned convolution on
+//! [`Kernel::Blocked`] runs each pass on the engine's pass arena (DESIGN.md
+//! §12): membranes interleaved by output channel, one walker over all of the
+//! pass's slices, so one input event updates every channel of the pass in
+//! whole vectors. Every other layer walks the pass's slices one after the
+//! other ([`crate::worker`]). Both fill the same per-slice records and add
+//! each event's synaptic ops into one per-pass vector, merged by one
+//! deterministic reduction.
 //!
 //! Timing model (cycle-approximate, calibrated on the paper's figures):
 //!
@@ -36,7 +39,6 @@ use sne_event::{Event, EventFormat, EventOp, EventStream};
 use crate::arena::{self, PassArena};
 use crate::collector::Collector;
 use crate::config::SneConfig;
-use crate::exec::ExecStrategy;
 use crate::mapping::LayerMapping;
 use crate::plan::{EventRow, LayerPlan};
 use crate::simd::Kernel;
@@ -44,7 +46,7 @@ use crate::slice::Slice;
 use crate::state::LayerState;
 use crate::stats::CycleStats;
 use crate::trace::{Trace, TraceRecord};
-use crate::worker::{run_slice_pass, SliceRecord, SliceTask, WorkerContext};
+use crate::worker::{run_slice_pass, SliceRecord, WorkerContext};
 use crate::SimError;
 
 /// Result of running one layer on the engine.
@@ -68,11 +70,13 @@ pub struct Engine {
     collector: Collector,
     slices: Vec<Slice>,
     trace: Trace,
-    /// How the per-slice worker units of a pass execute on the host.
-    exec: ExecStrategy,
-    /// Per-slice worker records, reused across timesteps, passes and runs
-    /// (the hot path performs no per-timestep allocation).
+    /// Per-slice records, reused across timesteps, passes and runs (the hot
+    /// path performs no per-timestep allocation).
     records: Vec<SliceRecord>,
+    /// Synaptic ops of each `UPDATE_OP` of the current pass, summed over
+    /// the slices: the walks add into it, the reduction reads it (reused
+    /// across passes and runs).
+    event_ops: Vec<u64>,
     /// Per-slice read cursors of the reduction, reused across passes.
     cursors: Vec<usize>,
     /// The membrane kernel every slice runs (see [`Kernel`]); host time
@@ -92,32 +96,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Minimum work size — op-sequence entries × slices — below which a pass
-    /// takes the sequential path even under a parallel [`ExecStrategy`]:
-    /// scoped-thread spawns would cost more than they save on tiny passes
-    /// (e.g. a streamed chunk through a small dense classifier). The gate is
-    /// a pure wall-clock heuristic; results are bit-identical either way.
-    /// Exposed so tests sizing workloads to exercise the threaded fan-out
-    /// can assert they cross it.
-    ///
-    /// Calibrated against thread-spawn cost (~tens of µs per scoped worker):
-    /// with the compiled-plan datapath a worker unit burns well under 100 ns
-    /// per op-sequence entry, so passes below ~1k units lose more to spawning
-    /// than they can win back — the low-core regression `BENCH_parallel.json`
-    /// exposed (engine_slices 0.48x at 8 threads on a 1-core host).
-    pub const MIN_PARALLEL_UNITS: usize = 1024;
-
-    /// Creates an engine with the given configuration (sequential execution).
+    /// Creates an engine with the given configuration.
     #[must_use]
     pub fn new(config: SneConfig) -> Self {
-        Self::with_exec(config, ExecStrategy::Sequential)
-    }
-
-    /// Creates an engine that runs its per-slice worker units with the given
-    /// [`ExecStrategy`]. The strategy affects wall-clock time only: results,
-    /// statistics and traces are bit-identical for every strategy.
-    #[must_use]
-    pub fn with_exec(config: SneConfig, exec: ExecStrategy) -> Self {
         let slices = (0..config.num_slices)
             .map(|_| Slice::new(&config))
             .collect();
@@ -125,8 +106,8 @@ impl Engine {
             collector: Collector::new(config.num_slices),
             slices,
             trace: Trace::disabled(),
-            exec,
             records: Vec::new(),
+            event_ops: Vec::new(),
             cursors: Vec::new(),
             kernel: Kernel::auto(),
             config_validated: false,
@@ -156,12 +137,6 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &SneConfig {
         &self.config
-    }
-
-    /// The execution strategy of the per-slice worker units.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.exec
     }
 
     /// Enables execution tracing with the given record capacity.
@@ -301,12 +276,9 @@ impl Engine {
 
     /// Executes a layer run as a sequence of mapping passes, each run on
     /// the pass arena ([`crate::arena`], a planned convolution on the blocked
-    /// kernel) or decomposed into independent per-slice worker units
-    /// ([`crate::worker`]) fanned out by the engine's [`ExecStrategy`], and
-    /// merged back by a deterministic slice-order reduction
-    /// ([`Engine::reduce_pass`]). The strategy affects wall-clock time only
-    /// — outputs, statistics and traces are bit-identical for every
-    /// strategy.
+    /// kernel) or as one span walk per slice ([`crate::worker`]), and merged
+    /// back by a deterministic slice-order reduction
+    /// ([`Engine::reduce_pass`]).
     fn run_layer_inner(
         &mut self,
         mapping: &LayerMapping,
@@ -368,11 +340,15 @@ impl Engine {
         let out_shape = mapping.output_shape();
         let mut output_events: Vec<Event> = Vec::new();
 
-        // The worker records are long-lived buffers: sized once per engine
+        // The records are long-lived buffers: sized once per engine
         // configuration, cleared (capacity kept) on every pass.
         if self.records.len() != self.config.num_slices {
             self.records = vec![SliceRecord::default(); self.config.num_slices];
         }
+        let updates = op_sequence
+            .iter()
+            .filter(|op| op.op == EventOp::Update)
+            .count();
         // A planned convolution on the blocked kernel runs each pass on the
         // pass arena when its geometry permits; everything else runs the
         // per-slice span walk.
@@ -380,9 +356,9 @@ impl Engine {
             .filter(|_| self.kernel == Kernel::Blocked)
             .and_then(LayerPlan::conv_taps)
             .filter(|conv| arena::fits(conv, &self.config));
-        // Resolve every UPDATE_OP's plan row once per run; the slice workers
-        // of every pass then index instead of repeating the border-class
-        // lookup per (event, slice, pass).
+        // Resolve every UPDATE_OP's plan row once per run; the span walks of
+        // every pass then index instead of repeating the border-class lookup
+        // per (event, slice, pass).
         let event_rows: Option<Vec<EventRow<'_>>> = plan.filter(|_| conv.is_none()).map(|p| {
             op_sequence
                 .iter()
@@ -403,6 +379,8 @@ impl Engine {
 
         for pass in 0..passes {
             stats.passes += 1;
+            self.event_ops.clear();
+            self.event_ops.resize(updates, 0);
             if self.trace.is_enabled() {
                 self.trace.push(TraceRecord::PassStart {
                     pass,
@@ -425,9 +403,17 @@ impl Engine {
                     &mut self.records,
                     state.as_deref_mut(),
                     &ctx,
+                    &mut self.event_ops,
                 );
             } else {
-                self.run_slice_passes(pass, per_pass, total_neurons, state.as_deref_mut(), &ctx);
+                for (s, (slice, record)) in
+                    self.slices.iter_mut().zip(&mut self.records).enumerate()
+                {
+                    let base = (pass * per_pass + s * neurons_per_slice).min(total_neurons);
+                    let end = (base + neurons_per_slice).min(total_neurons);
+                    let share = state.as_deref_mut().map(|st| st.slice_state_mut(pass, s));
+                    run_slice_pass(slice, record, share, base..end, &ctx, &mut self.event_ops);
+                }
             }
 
             stats.streamer_reads += op_sequence.len() as u64;
@@ -478,59 +464,11 @@ impl Engine {
         })
     }
 
-    /// Runs one mapping pass as one worker unit per slice — the slice, its
-    /// record and its disjoint share of the persistent state — fanned out by
-    /// the engine's [`ExecStrategy`]. No unit shares mutable state, so they
-    /// can run on any host schedule.
-    fn run_slice_passes(
-        &mut self,
-        pass: usize,
-        per_pass: usize,
-        total_neurons: usize,
-        state: Option<&mut LayerState>,
-        ctx: &WorkerContext<'_>,
-    ) {
-        let neurons_per_slice = self.config.neurons_per_slice();
-        let mut state_shares: Vec<Option<&mut [crate::cluster::ClusterState]>> = match state {
-            Some(st) => st.pass_slices_mut(pass).map(Some).collect(),
-            None => (0..self.config.num_slices).map(|_| None).collect(),
-        };
-        let mut tasks: Vec<SliceTask<'_>> = self
-            .slices
-            .iter_mut()
-            .zip(self.records.iter_mut())
-            .zip(state_shares.drain(..))
-            .enumerate()
-            .map(|(s, ((slice, record), share))| {
-                let base = pass * per_pass + s * neurons_per_slice;
-                let count = neurons_per_slice.min(total_neurons.saturating_sub(base));
-                SliceTask {
-                    slice,
-                    record,
-                    state: share,
-                    base: base.min(total_neurons),
-                    count,
-                }
-            })
-            .collect();
-        // Fanning a pass out only pays when there is enough work to
-        // amortize the scoped-thread spawns; tiny passes (e.g. the final
-        // dense classifier of a streamed chunk) take the sequential path.
-        // Results are bit-identical either way — the gate only moves host
-        // wall-clock time.
-        let exec = if ctx.ops.len() * self.config.num_slices < Self::MIN_PARALLEL_UNITS {
-            ExecStrategy::Sequential
-        } else {
-            self.exec
-        };
-        exec.run(&mut tasks, |_, task| run_slice_pass(task, ctx));
-    }
-
     /// The deterministic reduction of one pass: walks the op sequence once,
-    /// combining the per-slice worker records **in slice order** into the
-    /// global cycle accounting, the crossbar transfers, the trace and the
-    /// output event stream — exactly the arbitration the sequential engine
-    /// (and the hardware's collector tree) performs.
+    /// combining the per-slice records **in slice order** and the pass's
+    /// per-event synaptic ops into the global cycle accounting, the crossbar
+    /// transfers, the trace and the output event stream — exactly the
+    /// arbitration the hardware's collector tree performs.
     fn reduce_pass(
         &mut self,
         ops: &[Event],
@@ -543,6 +481,7 @@ impl Engine {
         // Split the engine into its disjoint parts so the records can be read
         // while the collector and the trace are driven.
         let records = &self.records;
+        let event_ops = &self.event_ops;
         let collector = &mut self.collector;
         let trace = &mut self.trace;
         let cursors = &mut self.cursors;
@@ -577,19 +516,11 @@ impl Engine {
                     stats.update_cycles += event_cost;
                     stats.total_cycles += event_cost;
                     timestep_cycles[op.t as usize] += event_cost;
-                    // The cross-slice ops sum is only observable through the
-                    // weight-streaming stall model and the trace; when
-                    // neither consumes it, don't compute it.
-                    let mut event_ops = 0u64;
-                    if !weights_resident || trace.is_enabled() {
-                        for record in records.iter().filter(|r| r.active) {
-                            event_ops += record.update_ops[update_index];
-                        }
-                    }
+                    let synaptic_ops = event_ops[update_index];
                     if !weights_resident {
                         // Weights streamed per event: 8 packed 4-bit
                         // weights per 32-bit memory word (Fig. 1).
-                        let words = event_ops.div_ceil(8);
+                        let words = synaptic_ops.div_ceil(8);
                         stats.streamer_reads += words;
                         if words > event_cost {
                             let stall = words - event_cost;
@@ -602,7 +533,7 @@ impl Engine {
                         time: op.t,
                         channel: op.ch,
                         address: (op.x, op.y),
-                        synaptic_ops: event_ops,
+                        synaptic_ops,
                     });
                     update_index += 1;
                 }
@@ -1021,69 +952,6 @@ mod tests {
         // The state left behind is the end-of-stream state, not rest: the
         // spike at t=0 fired and reset, later timesteps stayed idle.
         assert!(state.membrane(0).is_some());
-    }
-
-    #[test]
-    fn threaded_execution_is_bit_exact_with_sequential() {
-        // Multi-pass layer (2 passes on the small config), leak + threshold
-        // so state carries across timesteps, chunked stateful resume — the
-        // full surface the parallel fan-out must reproduce exactly.
-        let weights: Vec<i8> = (0..8 * 9).map(|i| ((i % 7) as i8) - 3).collect();
-        let mapping = LayerMapping::conv(
-            crate::mapping::MapShape::new(1, 4, 4),
-            8,
-            3,
-            weights,
-            crate::mapping::LifHardwareParams {
-                leak: 1,
-                threshold: 3,
-            },
-        )
-        .unwrap();
-        // 250 timesteps with ~375 events: enough op-sequence entries that the
-        // pass crosses the engine's minimum-work gate and genuinely fans out.
-        let mut stream = EventStream::new(4, 4, 1, 250);
-        for t in 0..250 {
-            stream.push(Event::update(t, 0, (t % 4) as u16, 2)).unwrap();
-            if t % 2 == 0 {
-                stream.push(Event::update(t, 0, 1, 1)).unwrap();
-            }
-        }
-        assert!(
-            stream.to_op_sequence().len() * small_config().num_slices >= Engine::MIN_PARALLEL_UNITS,
-            "workload must cross the parallel gate or the test is vacuous"
-        );
-
-        let mut sequential = Engine::new(small_config());
-        sequential.enable_trace(256);
-        let expected = sequential.run_layer(&mapping, &stream).unwrap();
-
-        for threads in [1usize, 2, 3, 8] {
-            let mut threaded =
-                Engine::with_exec(small_config(), crate::exec::ExecStrategy::threaded(threads));
-            assert_eq!(threaded.exec().threads(), threads.max(1));
-            threaded.enable_trace(256);
-            let result = threaded.run_layer(&mapping, &stream).unwrap();
-            assert_eq!(result, expected, "threads = {threads}");
-            assert_eq!(threaded.trace().records(), sequential.trace().records());
-
-            // Stateful chunked resume under threads matches the whole run.
-            let mut chunked =
-                Engine::with_exec(small_config(), crate::exec::ExecStrategy::threaded(threads));
-            let mut state = LayerState::new(&small_config(), &mapping);
-            let mut events = Vec::new();
-            for (i, (start, end)) in [(0, 100), (100, 250)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                let run = chunked
-                    .run_layer_stateful(&mapping, &chunk, &mut state, i > 0)
-                    .unwrap();
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            assert_eq!(events, expected.output.as_slice(), "threads = {threads}");
-        }
     }
 
     #[test]

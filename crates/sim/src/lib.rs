@@ -22,23 +22,24 @@
 //!   `RST_OP`/`UPDATE_OP` is one crossbar broadcast (one transfer per slice
 //!   with [`SneConfig::broadcast`] off), each merged output is one crossbar
 //!   transfer, and memory stalls follow assumption 5 below.
-//! * [`worker`] — the per-slice worker unit a mapping pass decomposes into
-//!   (the slice, its output record and its share of the persistent state),
-//!   with no shared mutable state between units.
+//! * [`worker`] — the per-slice span walk of a mapping pass: the engine
+//!   runs each slice in turn, on the engine's thread, into a per-slice
+//!   record that one slice-order reduction merges. The hardware's slices run in
+//!   lock step behind the crossbar and the cycle model charges them that
+//!   way, so host threads per slice could only move wall-clock time; an
+//!   engine runs every pass on the thread that owns it (DESIGN.md §8).
 //! * [`plan::LayerPlan`] — the compiled sparse datapath: per-layer
 //!   receptive-field lookup tables (border-class CSR rows for convolutions,
 //!   transposed weight rows for dense layers) built once at configure time
-//!   and consumed by the workers in place of the naive mapping walk.
+//!   and consumed by the span walk in place of the naive mapping walk.
 //!   Host-time optimisation only — outputs and modelled cycles are
 //!   bit-identical to the naive path.
 //! * [`simd::Kernel`] — the blocked membrane kernel: span accumulation,
 //!   TLU catch-up and fire scans over the per-slice structure-of-arrays
 //!   membrane arena in fixed-width SIMD blocks (SSE2 on x86_64), with a
 //!   manually unrolled scalar oracle that every path must match bit-exactly.
-//! * [`exec::ExecStrategy`] — how those independent units execute on the
-//!   host: sequentially or fanned out over scoped worker threads, with a
-//!   deterministic slice-order reduction that keeps every strategy
-//!   bit-exact.
+//! * [`exec::ExecStrategy`] — a one-variant enum left only as an argument
+//!   of the benchmark's calls; no caller can choose threads.
 //!
 //! The simulator is *functionally exact* with respect to the quantized LIF
 //! dynamics (it produces bit-identical output events to the functional model

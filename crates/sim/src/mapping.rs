@@ -288,7 +288,7 @@ impl LayerMapping {
     /// Contributions of an input event restricted to the output neurons in
     /// `range` (the address filter + address shift of the slices assigned to
     /// that range), appended to `out` (which is *not* cleared first) so the
-    /// engine's per-slice workers can reuse one scratch buffer per slice
+    /// engine's span walk can reuse one scratch buffer per slice
     /// across the whole event stream. The appended neuron indices are global.
     ///
     /// This is the reference oracle of the event datapath: the compiled

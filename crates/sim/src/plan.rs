@@ -43,8 +43,8 @@
 //! modelled cycles nor any output: the naive mapping walk remains the
 //! reference oracle, and `tests/plan_equivalence.rs` pins plan ≡ naive
 //! bit-exactly (outputs, stats, traces, energy) over random geometries,
-//! border events, multi-pass layers, chunked stateful resume and every
-//! [`crate::exec::ExecStrategy`].
+//! border events, multi-pass layers, chunked stateful resume and streamed
+//! weights.
 
 use sne_event::Event;
 

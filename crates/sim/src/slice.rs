@@ -75,8 +75,8 @@ pub struct FireScanSummary {
 /// the window's per-lane running maximum and tap count, validity-tagged by a
 /// monotonically increasing block mark so no per-block clearing walk is
 /// needed. Pure scratch — its contents between calls carry no meaning, so it
-/// lives with the worker's reusable buffers, not in the slice's persisted
-/// state.
+/// lives with the slice record's reusable buffers, not in the slice's
+/// persisted state.
 #[derive(Debug, Clone, Default)]
 pub struct WindowScratch {
     /// Mark of the block currently (or last) using each slot.
@@ -434,9 +434,9 @@ impl Slice {
     /// The bound stays **exact**, never an overestimate: it decides
     /// fire-scan walk elision, which the persisted TLU state can observe.
     ///
-    /// Pushes one synaptic-ops entry per event into `update_ops` and returns
-    /// the **aggregated** outcome of the block. Bit-identical to resolving
-    /// every event through
+    /// Adds each event's synaptic ops into its entry of `event_ops` (one
+    /// per row) and returns the **aggregated** outcome of the block.
+    /// Bit-identical to resolving every event through
     /// [`LayerPlan::contributions_in_range_into`][crate::plan::LayerPlan::contributions_in_range_into]
     /// and dispatching via [`Slice::process_update`]: same states, same
     /// counters, same totals (within one event window each neuron receives
@@ -446,7 +446,7 @@ impl Slice {
         rows: &[EventRow<'_>],
         params: LifHardwareParams,
         clock_gating: bool,
-        update_ops: &mut Vec<u64>,
+        event_ops: &mut [u64],
         scratch: &mut WindowScratch,
     ) -> UpdateOutcome {
         let range = self.assigned_range();
@@ -522,7 +522,7 @@ impl Slice {
         }
         let cluster_clamp = nclusters - 1;
         let mut aggregate = UpdateOutcome::default();
-        for row in rows {
+        for (row, event_total) in rows.iter().zip(event_ops) {
             epoch = epoch.wrapping_add(1);
             if epoch == 0 {
                 // Wrapped after 2^32 event windows: restart the epoch space.
@@ -628,7 +628,7 @@ impl Slice {
                     }
                 }
             }
-            update_ops.push(ops);
+            *event_total += ops;
             aggregate.synaptic_ops += ops;
             if clock_gating {
                 aggregate.active_clusters += active;
@@ -658,7 +658,8 @@ impl Slice {
     }
 
     /// Single-event form of [`Slice::process_update_block_planned`] (the
-    /// engine's worker uses the block form; this one backs the unit tests).
+    /// engine's span walk uses the block form; this one backs the unit
+    /// tests).
     #[cfg(test)]
     fn process_update_planned(
         &mut self,
@@ -666,12 +667,11 @@ impl Slice {
         params: LifHardwareParams,
         clock_gating: bool,
     ) -> UpdateOutcome {
-        let mut update_ops = Vec::with_capacity(1);
         self.process_update_block_planned(
             std::slice::from_ref(&row),
             params,
             clock_gating,
-            &mut update_ops,
+            &mut [0],
             &mut WindowScratch::default(),
         )
     }
@@ -695,8 +695,8 @@ impl Slice {
 
     /// Processes one `FIRE_OP`: every cluster scans its TDM neurons and the
     /// global indices of firing neurons are appended to `out` (not cleared
-    /// first), so the engine's per-slice workers reuse one buffer per slice
-    /// across the run.
+    /// first), so the engine's span walk reuses one buffer per slice across
+    /// the run.
     pub fn process_fire_into(
         &mut self,
         params: LifHardwareParams,

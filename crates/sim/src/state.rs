@@ -106,19 +106,6 @@ impl LayerState {
         &mut self.clusters[range]
     }
 
-    /// Disjoint mutable views of every slice's cluster slots in pass `pass`,
-    /// in slice order — one view per per-slice worker unit, so a threaded
-    /// executor can hand each slice its share of the state with no shared
-    /// mutable borrow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pass` is out of range.
-    pub fn pass_slices_mut(&mut self, pass: usize) -> impl Iterator<Item = &mut [ClusterState]> {
-        let per_slice = self.clusters_per_slice;
-        self.pass_state_mut(pass).chunks_mut(per_slice)
-    }
-
     /// Every cluster slot of pass `pass`, `(slice, cluster)` row-major: slot
     /// `s · clusters_per_slice + c` is cluster `c` of slice `s`.
     ///
@@ -209,21 +196,6 @@ mod tests {
         state.reset();
         assert!(state.is_resting());
         assert_eq!(state.membrane(0), Some(0));
-    }
-
-    #[test]
-    fn pass_slices_mut_hands_out_disjoint_per_slice_views() {
-        let mut state = LayerState::new(&config(), &mapping(8));
-        let views: Vec<_> = state.pass_slices_mut(1).collect();
-        assert_eq!(views.len(), 2);
-        assert!(views.iter().all(|v| v.len() == 4));
-        views
-            .into_iter()
-            .enumerate()
-            .for_each(|(s, v)| v[0].pending_leak_steps = s as u32 + 1);
-        assert_eq!(state.slice_state(1, 0)[0].pending_leak_steps, 1);
-        assert_eq!(state.slice_state(1, 1)[0].pending_leak_steps, 2);
-        assert_eq!(state.slice_state(0, 0)[0].pending_leak_steps, 0);
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! The per-slice worker unit of the engine.
+//! The per-slice span walk of the engine.
 //!
-//! A mapping pass decomposes into one independent work unit per slice: the
-//! [`crate::slice::Slice`] itself, its share of the persistent
-//! [`crate::state::LayerState`] and a [`SliceRecord`] capturing everything
-//! the slice produced — fired events, per-op synaptic counts, scan decisions
-//! and mergeable activity counters. Units share **no mutable state** (the
-//! mapping and the operation sequence are read-only), so they can run on any
-//! [`crate::exec::ExecStrategy`]; the engine afterwards merges the records in
-//! slice order, which reproduces the hardware's crossbar/collector
-//! arbitration bit-exactly regardless of the host schedule.
+//! A mapping pass runs each slice in turn, on the engine's thread, through
+//! [`run_slice_pass`]: the [`crate::slice::Slice`] itself, its share of the
+//! persistent [`crate::state::LayerState`] and a [`SliceRecord`] capturing
+//! what the slice produced — fired events, scan decisions and mergeable
+//! activity counters. Each event's synaptic ops are added into the engine's
+//! per-pass vector of per-event totals instead. The engine afterwards merges
+//! the records in slice order, which reproduces the hardware's
+//! crossbar/collector arbitration bit-exactly.
 //!
 //! The record doubles as the reusable buffer pool of the hot path: all its
 //! vectors are cleared, never dropped, so steady-state streaming performs no
 //! per-timestep (or even per-run) allocation.
 //!
-//! Planned convolutions on the blocked kernel skip these units: the engine's
-//! pass arena (DESIGN.md §12) walks all of a pass's slices at once on the
-//! calling thread and fills the same records.
+//! Planned convolutions on the blocked kernel skip this walk: the engine's
+//! pass arena (DESIGN.md §12) walks all of a pass's slices at once and fills
+//! the same records.
 
 use sne_event::{Event, EventOp};
 
@@ -26,7 +25,7 @@ use crate::plan::EventRow;
 use crate::slice::{Slice, WindowScratch};
 use crate::stats::CycleStats;
 
-/// Read-only context shared by every slice worker of a layer run.
+/// Read-only context shared by every slice of a layer run.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerContext<'a> {
     /// The layer mapping (address filter + weights).
@@ -50,25 +49,8 @@ pub struct WorkerContext<'a> {
     pub resume: bool,
 }
 
-/// One slice's work bundle for one mapping pass: the slice, its output
-/// record and its (disjoint) share of the persistent layer state.
-#[derive(Debug)]
-pub struct SliceTask<'a> {
-    /// The slice executing this unit.
-    pub slice: &'a mut Slice,
-    /// The record the unit fills in.
-    pub record: &'a mut SliceRecord,
-    /// The slice's cluster slots in the persistent layer state, if the run
-    /// is stateful.
-    pub state: Option<&'a mut [ClusterState]>,
-    /// Global output-neuron index of the slice's first neuron this pass.
-    pub base: usize,
-    /// Number of output neurons assigned to the slice this pass.
-    pub count: usize,
-}
-
 /// Everything one slice produced during one mapping pass, in a form the
-/// engine can merge deterministically (slice order) after the workers ran.
+/// engine merges deterministically (slice order) once every slice ran.
 ///
 /// All buffers keep their capacity across [`SliceRecord::clear`], so a
 /// long-lived engine re-uses them across timesteps, passes and runs.
@@ -83,8 +65,6 @@ pub struct SliceRecord {
     pub fire_counts: Vec<u32>,
     /// Whether this slice executed the TDM scan, per `FIRE_OP`.
     pub scanned: Vec<bool>,
-    /// Synaptic operations performed by this slice, per `UPDATE_OP`.
-    pub update_ops: Vec<u64>,
     /// Total synaptic operations of the pass.
     pub synaptic_ops: u64,
     /// Event windows in which a cluster of this slice was active.
@@ -109,7 +89,6 @@ impl SliceRecord {
         self.fired.clear();
         self.fire_counts.clear();
         self.scanned.clear();
-        self.update_ops.clear();
         self.synaptic_ops = 0;
         self.active_cluster_windows = 0;
         self.gated_cluster_windows = 0;
@@ -119,8 +98,7 @@ impl SliceRecord {
     }
 
     /// Merges this record's activity counters into `stats`. Merging is a sum
-    /// per counter, so it is associative and independent of the slice order —
-    /// the property that makes the parallel fan-out bit-exact.
+    /// per counter, so it is associative and independent of the slice order.
     pub fn merge_into(&self, stats: &mut CycleStats, cycles_per_event: u64) {
         stats.synaptic_ops += self.synaptic_ops;
         stats.active_cluster_cycles += self.active_cluster_windows * cycles_per_event;
@@ -132,24 +110,33 @@ impl SliceRecord {
 /// Runs one slice through one mapping pass: configure, (optionally) restore
 /// persistent state, consume the full operation sequence, export state.
 ///
-/// This is a pure function of the task and the shared read-only context —
-/// the engine's crossbar, collector, trace and cycle accounting are *not*
-/// touched here; they belong to the deterministic reduction that follows.
-pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
+/// The slice implements the layer's output neurons `neurons` this pass. Its
+/// synaptic ops of the `i`-th `UPDATE_OP` are added into `event_ops[i]`,
+/// the engine's per-pass totals. The engine's crossbar, collector, trace
+/// and cycle accounting are *not* touched here; they belong to the
+/// deterministic reduction that follows.
+pub fn run_slice_pass(
+    slice: &mut Slice,
+    record: &mut SliceRecord,
+    state: Option<&mut [ClusterState]>,
+    neurons: std::ops::Range<usize>,
+    ctx: &WorkerContext<'_>,
+    event_ops: &mut [u64],
+) {
+    let count = neurons.len();
     // A resuming stateful run restores every cluster's membranes and TLU
     // bookkeeping wholesale, so the configure-time reset walk would be dead
     // work — skip it (per-pass counters flow through the record, not the
     // cluster counters, so the outcome is identical).
-    match (ctx.resume, task.state.as_deref()) {
+    match (ctx.resume, state.as_deref()) {
         (true, Some(state)) => {
-            task.slice.configure_pass_for_resume(task.base, task.count);
-            task.slice.import_state(state);
+            slice.configure_pass_for_resume(neurons.start, count);
+            slice.import_state(state);
         }
-        _ => task.slice.configure_pass(task.base, task.count),
+        _ => slice.configure_pass(neurons.start, count),
     }
-    let record = &mut *task.record;
     record.clear();
-    record.active = task.count > 0;
+    record.active = count > 0;
     if record.active {
         // First index of the all-fire tail: every op at or after it is a
         // `FIRE_OP` (== `ops.len()` when the sequence does not end in one).
@@ -167,10 +154,10 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
         let mut update_index = 0usize;
         let mut op_index = 0usize;
         while op_index < ctx.ops.len() {
-            if ctx.tlu_enabled && op_index >= tail_fires && task.slice.all_clusters_clean() {
+            if ctx.tlu_enabled && op_index >= tail_fires && slice.all_clusters_clean() {
                 let fires = (ctx.ops.len() - op_index) as u32;
-                task.slice.note_skipped_fires(fires);
-                let skipped = task.slice.num_clusters() as u64;
+                slice.note_skipped_fires(fires);
+                let skipped = slice.num_clusters() as u64;
                 record.tlu_skipped_updates += u64::from(fires) * skipped * ctx.neurons_per_cluster;
                 for _ in 0..fires {
                     record.scanned.push(false);
@@ -180,7 +167,7 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
             }
             let op = &ctx.ops[op_index];
             match op.op {
-                EventOp::Reset => task.slice.reset(),
+                EventOp::Reset => slice.reset(),
                 EventOp::Update => {
                     // Compiled datapath: the whole run of consecutive
                     // `UPDATE_OP`s (up to the next `FIRE_OP` barrier) goes
@@ -196,15 +183,15 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
                             {
                                 block_end += 1;
                             }
-                            let events = block_end - op_index;
-                            let outcome = task.slice.process_update_block_planned(
-                                &rows[update_index..update_index + events],
+                            let events = update_index..update_index + (block_end - op_index);
+                            let outcome = slice.process_update_block_planned(
+                                &rows[events.clone()],
                                 ctx.params,
                                 ctx.clock_gating,
-                                &mut record.update_ops,
+                                &mut event_ops[events.clone()],
                                 &mut record.windows,
                             );
-                            update_index += events;
+                            update_index = events.end;
                             op_index = block_end - 1;
                             record.synaptic_ops += outcome.synaptic_ops;
                             record.active_cluster_windows += outcome.active_clusters;
@@ -214,16 +201,16 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
                             record.contributions.clear();
                             ctx.mapping.contributions_in_range_into(
                                 op,
-                                task.slice.assigned_range(),
+                                slice.assigned_range(),
                                 &mut record.contributions,
                             );
-                            let outcome = task.slice.process_update(
+                            let outcome = slice.process_update(
                                 &record.contributions,
                                 ctx.params,
                                 ctx.clock_gating,
                             );
+                            event_ops[update_index] += outcome.synaptic_ops;
                             update_index += 1;
-                            record.update_ops.push(outcome.synaptic_ops);
                             record.synaptic_ops += outcome.synaptic_ops;
                             record.active_cluster_windows += outcome.active_clusters;
                             record.gated_cluster_windows += outcome.gated_clusters;
@@ -232,7 +219,7 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
                 }
                 EventOp::Fire => {
                     record.fired_neurons.clear();
-                    let summary = task.slice.process_fire_into(
+                    let summary = slice.process_fire_into(
                         ctx.params,
                         ctx.tlu_enabled,
                         &mut record.fired_neurons,
@@ -254,9 +241,9 @@ pub fn run_slice_pass(task: &mut SliceTask<'_>, ctx: &WorkerContext<'_>) {
         }
     }
     // Persist the state this pass leaves behind (also for inactive slices,
-    // whose configure_pass reset them — identical to the sequential engine).
-    if let Some(state) = task.state.as_deref_mut() {
-        task.slice.export_state(state);
+    // whose configure_pass reset them).
+    if let Some(state) = state {
+        slice.export_state(state);
     }
 }
 
@@ -312,17 +299,11 @@ mod tests {
         };
         let mut slice = Slice::new(&config);
         let mut record = SliceRecord::default();
-        let mut task = SliceTask {
-            slice: &mut slice,
-            record: &mut record,
-            state: None,
-            base: 0,
-            count: 32,
-        };
-        run_slice_pass(&mut task, &ctx);
-        assert!(record.active);
         // One UPDATE op, two FIRE ops (2 timesteps).
-        assert_eq!(record.update_ops.len(), 1);
+        let mut event_ops = [0u64; 1];
+        run_slice_pass(&mut slice, &mut record, None, 0..32, &ctx, &mut event_ops);
+        assert!(record.active);
+        assert_eq!(event_ops, [18]);
         assert_eq!(record.fire_counts.len(), 2);
         assert_eq!(record.scanned.len(), 2);
         // The centre spike fires the full receptive field of both channels,
@@ -350,17 +331,11 @@ mod tests {
         };
         let mut slice = Slice::new(&config);
         let mut record = SliceRecord::default();
-        let mut task = SliceTask {
-            slice: &mut slice,
-            record: &mut record,
-            state: None,
-            base: 32,
-            count: 0,
-        };
-        run_slice_pass(&mut task, &ctx);
+        let mut event_ops = [0u64; 1];
+        run_slice_pass(&mut slice, &mut record, None, 32..32, &ctx, &mut event_ops);
         assert!(!record.active);
         assert!(record.fired.is_empty());
-        assert!(record.update_ops.is_empty());
+        assert_eq!(event_ops, [0]);
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl SessionStore {
     /// # Errors
     ///
     /// Propagates journal and file I/O failures; on error the previous
-    /// snapshot of `id` (if any) is still intact.
+    /// snapshot of `id` (if any) is still intact, and a `.tmp` file the park
+    /// created is removed.
     pub fn park(&mut self, id: &str, bytes: &[u8]) -> std::io::Result<()> {
         let hex = encode_id(id);
         self.journal_append(&format!(
@@ -154,12 +155,16 @@ impl SessionStore {
         ))?;
         let final_path = self.snap_path(id);
         let tmp_path = final_path.with_extension("tmp");
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(bytes)?;
-            self.maybe_sync(&tmp)?;
+        let mut tmp = File::create(&tmp_path)?;
+        let synced = tmp.write_all(bytes).and_then(|()| self.maybe_sync(&tmp));
+        drop(tmp);
+        let placed = synced.and_then(|()| std::fs::rename(&tmp_path, &final_path));
+        if placed.is_err() {
+            // The park's own error is what the caller gets; a failed removal
+            // leaves the orphan to the startup scan, which deletes it.
+            let _ = std::fs::remove_file(&tmp_path);
         }
-        std::fs::rename(&tmp_path, &final_path)?;
+        placed?;
         self.sync_dir()
     }
 
@@ -402,6 +407,37 @@ mod tests {
         assert_eq!(store.load("dvs/0").unwrap(), None);
         // Removing a missing id is fine.
         store.remove("dvs/0").unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_park_removes_its_tmp_and_keeps_the_previous_snapshot() {
+        let dir = tempdir("failed-park");
+        let mut store = SessionStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let kept = snapshot(3, b"kept");
+        store.park("dvs/1", &kept).unwrap();
+        // A directory at the final `.snap` path: the write succeeds, the
+        // rename fails.
+        let blocked = store.snap_path("dvs/2");
+        std::fs::create_dir(&blocked).unwrap();
+        std::fs::write(blocked.join("occupant"), b"x").unwrap();
+        assert!(store.park("dvs/2", &snapshot(4, b"lost")).is_err());
+        assert!(!blocked.with_extension("tmp").exists());
+        // The same for an id with a snapshot already parked: it survives.
+        let kept_path = store.snap_path("dvs/1");
+        std::fs::remove_file(&kept_path).unwrap();
+        std::fs::create_dir(&kept_path).unwrap();
+        assert!(store.park("dvs/1", &snapshot(5, b"newer")).is_err());
+        assert!(!kept_path.with_extension("tmp").exists());
+        std::fs::remove_dir(&kept_path).unwrap();
+        store.park("dvs/1", &kept).unwrap();
+        assert_eq!(store.load("dvs/1").unwrap(), Some(kept));
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|entry| entry.ok())
+            .filter(|entry| entry.path().extension().is_some_and(|e| e == "tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,9 +4,9 @@
 //! primitives, engine outputs, cycle statistics, execution traces, energy
 //! reports and persisted [`LayerState`] — over random conv/dense geometries,
 //! span lengths straddling the block-width boundary, all-`±127` saturation
-//! storms, chunked stateful resume and every [`ExecStrategy`]. The scalar
-//! path is the reference; the blocked path is only allowed to move host
-//! wall-clock time.
+//! storms, chunked stateful resume and streamed weights. The scalar path is
+//! the reference; the blocked path is only allowed to move host wall-clock
+//! time.
 
 use proptest::prelude::*;
 use sne_event::{Event, EventStream};
@@ -14,13 +14,12 @@ use sne_sim::mapping::{LayerMapping, LifHardwareParams, MapShape};
 use sne_sim::plan::LayerPlan;
 use sne_sim::{Engine, ExecStrategy, Kernel, LayerState, SneConfig};
 
-/// Every execution strategy the engine supports, sequential first.
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
+/// Filter-buffer size in weight sets, by index: one set streams the weights
+/// of every layer with two or more (conv input channels, dense input
+/// positions) per event; the default holds them resident.
+fn weight_buffer_sets(index: usize) -> usize {
+    [1, SneConfig::default().weight_buffer_sets][index]
+}
 
 fn small_config(num_slices: usize) -> SneConfig {
     SneConfig {
@@ -115,13 +114,12 @@ fn arena_stream(
 /// Runs one layer on an engine forced to `kernel`, naive or planned.
 fn run_with_kernel(
     config: SneConfig,
-    exec: ExecStrategy,
     kernel: Kernel,
     mapping: &LayerMapping,
     plan: Option<&LayerPlan>,
     stream: &EventStream,
 ) -> sne_sim::LayerRunOutput {
-    let mut engine = Engine::with_exec(config, exec);
+    let mut engine = Engine::new(config);
     engine.set_kernel(kernel);
     match plan {
         Some(plan) => engine.run_layer_planned(mapping, plan, stream).unwrap(),
@@ -270,9 +268,9 @@ proptest! {
     }
 
     /// Engine level: blocked ≡ scalar ≡ naive. One conv layer over random
-    /// geometry, on the naive *and* the planned datapath, under every
-    /// execution strategy — identical outputs, statistics and per-timestep
-    /// profiles everywhere. The scalar naive run is the single oracle.
+    /// geometry, on the naive *and* the planned datapath — identical
+    /// outputs, statistics and per-timestep profiles everywhere. The scalar
+    /// naive run is the single oracle.
     #[test]
     fn engine_runs_agree_across_kernels_and_datapaths(
         out_channels in 1u16..11,
@@ -297,19 +295,13 @@ proptest! {
             stream.push(Event::update(t, 0, x, y)).unwrap();
         }
         let config = small_config(num_slices);
-        let expected = run_with_kernel(
-            config, ExecStrategy::Sequential, Kernel::Scalar, &mapping, None, &stream,
-        );
-        for exec in STRATEGIES {
-            for membrane_kernel in [Kernel::Scalar, Kernel::Blocked] {
-                for plan in [None, Some(&plan)] {
-                    let result = run_with_kernel(
-                        config, exec, membrane_kernel, &mapping, plan, &stream,
-                    );
-                    prop_assert_eq!(&result.output, &expected.output);
-                    prop_assert_eq!(result.stats, expected.stats);
-                    prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
-                }
+        let expected = run_with_kernel(config, Kernel::Scalar, &mapping, None, &stream);
+        for membrane_kernel in [Kernel::Scalar, Kernel::Blocked] {
+            for plan in [None, Some(&plan)] {
+                let result = run_with_kernel(config, membrane_kernel, &mapping, plan, &stream);
+                prop_assert_eq!(&result.output, &expected.output);
+                prop_assert_eq!(result.stats, expected.stats);
+                prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
             }
         }
     }
@@ -336,14 +328,9 @@ proptest! {
         for (t, x, y) in spikes {
             stream.push(Event::update(t, 0, x, y)).unwrap();
         }
-        let expected = run_with_kernel(
-            small_config(2), ExecStrategy::Sequential, Kernel::Scalar, &mapping, None, &stream,
-        );
+        let expected = run_with_kernel(small_config(2), Kernel::Scalar, &mapping, None, &stream);
         for plan in [None, Some(&plan)] {
-            let result = run_with_kernel(
-                small_config(2), ExecStrategy::Sequential, Kernel::Blocked,
-                &mapping, plan, &stream,
-            );
+            let result = run_with_kernel(small_config(2), Kernel::Blocked, &mapping, plan, &stream);
             prop_assert_eq!(result, expected.clone());
         }
     }
@@ -353,10 +340,11 @@ proptest! {
     /// not hold whole planes, slices that split a plane, partly used last
     /// slices and last passes, kernels 1, 3 and 5, one or two input
     /// channels, multi-pass layers (up to 12 output channels on 2-3
-    /// slices), negative leaks and thresholds, and TLU and clock gating on
-    /// and off. The blocked planned run — pass arena where it applies, span
-    /// walk elsewhere — must equal the scalar naive oracle exactly, traces
-    /// included.
+    /// slices), negative leaks and thresholds, TLU and clock gating on and
+    /// off, and weights resident or (with two input channels and a one-set
+    /// filter buffer) streamed per event. The blocked planned run — pass
+    /// arena where it applies, span walk elsewhere — must equal the scalar
+    /// naive oracle exactly, traces included.
     #[test]
     fn arena_and_span_walks_match_the_scalar_oracle(
         geometry in 0usize..ARENA_GEOMETRIES.len(),
@@ -368,6 +356,7 @@ proptest! {
         spikes in prop::collection::vec((0u32..10, 0u16..2, 0u16..64, 0u16..64), 20..120),
         weight_seed in 0u64..1000,
         switches in 0u8..4,
+        buffer_index in 0usize..2,
     ) {
         let (height, width) = ARENA_GEOMETRIES[geometry];
         let kernel = [1u16, 3, 5][kernel_index];
@@ -381,20 +370,19 @@ proptest! {
         let config = SneConfig {
             tlu_enabled: switches & 1 == 0,
             clock_gating: switches & 2 == 0,
+            weight_buffer_sets: weight_buffer_sets(buffer_index),
             ..small_config(num_slices)
         };
         let mut oracle = Engine::new(config);
         oracle.set_kernel(Kernel::Scalar);
         oracle.enable_trace(4096);
         let expected = oracle.run_layer(&mapping, &stream).unwrap();
-        for exec in [ExecStrategy::Sequential, ExecStrategy::Threaded(3)] {
-            let mut engine = Engine::with_exec(config, exec);
-            engine.set_kernel(Kernel::Blocked);
-            engine.enable_trace(4096);
-            let result = engine.run_layer_planned(&mapping, &plan, &stream).unwrap();
-            prop_assert_eq!(&result, &expected);
-            prop_assert_eq!(engine.trace(), oracle.trace());
-        }
+        let mut engine = Engine::new(config);
+        engine.set_kernel(Kernel::Blocked);
+        engine.enable_trace(4096);
+        let result = engine.run_layer_planned(&mapping, &plan, &stream).unwrap();
+        prop_assert_eq!(&result, &expected);
+        prop_assert_eq!(engine.trace(), oracle.trace());
     }
 
     /// Chunked resume on both sides of the pass arena's condition: the
@@ -463,7 +451,7 @@ proptest! {
 
     /// Stateful streaming: chunked resume on the blocked kernel leaves the
     /// *identical persisted state* (membranes, pending leaks, dirty flags)
-    /// as the scalar kernel, for any cut point and strategy. The membrane
+    /// as the scalar kernel, for any cut point. The membrane
     /// bound decides fire-scan walk elision, so an inexact blocked span max
     /// would diverge here.
     #[test]
@@ -504,25 +492,23 @@ proptest! {
             }));
         }
 
-        for exec in STRATEGIES {
-            let mut chunked = Engine::with_exec(small_config(2), exec);
-            chunked.set_kernel(Kernel::Blocked);
-            let mut state = LayerState::new(&small_config(2), &mapping);
-            let mut events = Vec::new();
-            for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                let run = chunked
-                    .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
-                    .unwrap();
-                prop_assert_eq!(run.stats, expected_stats[i]);
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            prop_assert_eq!(&events[..], &expected_events[..]);
-            prop_assert_eq!(&state, &oracle_state);
+        let mut chunked = Engine::new(small_config(2));
+        chunked.set_kernel(Kernel::Blocked);
+        let mut state = LayerState::new(&small_config(2), &mapping);
+        let mut events = Vec::new();
+        for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
+            let chunk = stream.window(start, end);
+            let run = chunked
+                .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
+                .unwrap();
+            prop_assert_eq!(run.stats, expected_stats[i]);
+            events.extend(run.output.into_events().into_iter().map(|e| Event {
+                t: e.t + start,
+                ..e
+            }));
         }
+        prop_assert_eq!(&events[..], &expected_events[..]);
+        prop_assert_eq!(&state, &oracle_state);
     }
 }
 

@@ -1,31 +1,18 @@
-//! Integration suite of the parallel execution core: `Threaded(n)` must be
-//! **bit-exact** with `Sequential` at every level of the stack — engine
-//! (per-slice workers), sessions (pipelined layer stages) and batch runner
-//! (lanes on worker threads) — and the stats reduction must be a true merge
-//! (associative, order-independent).
+//! Integration suite of the fleet's host threads: an engine runs every
+//! mapping pass on the thread that owns it, and a fleet runs one scheduler
+//! worker thread per engine. A fleet of any size must be **bit-exact** with
+//! a one-lane fleet, every execution unit must move to a worker thread, and
+//! the stats reduction must be a true merge (associative,
+//! order-independent).
 
 use proptest::prelude::*;
 use sne::batch::BatchRunner;
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::ExecStrategy;
-use sne_event::{Event, EventStream};
+use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
-use sne_sim::mapping::{LifHardwareParams, MapShape};
-use sne_sim::{CycleStats, Engine, LayerMapping, LayerState, SneConfig};
-
-/// The thread counts every property is checked against.
-const THREADS: [usize; 3] = [2, 3, 8];
-
-fn small_config(num_slices: usize) -> SneConfig {
-    SneConfig {
-        num_slices,
-        clusters_per_slice: 4,
-        neurons_per_cluster: 8,
-        ..SneConfig::default()
-    }
-}
+use sne_sim::{CycleStats, Engine, LayerState, SneConfig};
 
 fn compiled(seed: u64) -> CompiledNetwork {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -33,120 +20,12 @@ fn compiled(seed: u64) -> CompiledNetwork {
 }
 
 proptest! {
-    /// Engine level: for any random layer (kernel, channel count spanning
-    /// one or several mapping passes, leak/threshold) and any random event
-    /// stream, `Threaded(n)` produces the identical `LayerRunOutput` —
-    /// output events, `CycleStats` and per-timestep cycle profile — as
-    /// `Sequential`, for n in {2, 3, 8}. The workloads are sized (and
-    /// asserted) to cross `Engine::MIN_PARALLEL_UNITS`, so the threaded
-    /// variants genuinely fan out instead of taking the small-pass fallback.
-    #[test]
-    fn threaded_engine_runs_are_bit_exact(
-        out_channels in 1u16..10,
-        kernel_index in 0usize..2,
-        leak in 0i16..3,
-        threshold in 1i16..6,
-        num_slices in 2usize..4,
-        spikes in prop::collection::vec(
-            (0u32..16, 0u16..4, 0u16..4),
-            520..700,
-        ),
-        weight_seed in 0u64..1000,
-    ) {
-        let kernel = [1u16, 3][kernel_index];
-        let weight_count =
-            usize::from(out_channels) * usize::from(kernel) * usize::from(kernel);
-        let weights: Vec<i8> = (0..weight_count)
-            .map(|i| (((i as u64).wrapping_mul(weight_seed + 7) % 15) as i8) - 7)
-            .collect();
-        let mapping = LayerMapping::conv(
-            MapShape::new(1, 4, 4),
-            out_channels,
-            kernel,
-            weights,
-            LifHardwareParams { leak, threshold },
-        )
-        .unwrap();
-        let mut stream = EventStream::new(4, 4, 1, 16);
-        for (t, x, y) in spikes {
-            stream.push(Event::update(t, 0, x, y)).unwrap();
-        }
-        prop_assert!(stream.to_op_sequence().len() * num_slices >= Engine::MIN_PARALLEL_UNITS);
-
-        let mut sequential = Engine::new(small_config(num_slices));
-        let expected = sequential.run_layer(&mapping, &stream).unwrap();
-        for threads in THREADS {
-            let mut threaded = Engine::with_exec(
-                small_config(num_slices),
-                ExecStrategy::threaded(threads),
-            );
-            let result = threaded.run_layer(&mapping, &stream).unwrap();
-            prop_assert_eq!(&result.output, &expected.output);
-            prop_assert_eq!(result.stats, expected.stats);
-            prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
-        }
-    }
-
-    /// Engine level, stateful: chunked `run_layer_stateful` resume under a
-    /// threaded strategy carries the identical neuron state across chunk
-    /// boundaries (events of chunked threaded == whole sequential). The
-    /// spike count guarantees the larger chunk crosses the parallel gate
-    /// whatever the cut (a tiny chunk taking the sequential fallback while
-    /// the other fans out is exactly the mixed regime streaming produces).
-    #[test]
-    fn threaded_stateful_chunks_are_bit_exact(
-        cut in 1u32..16,
-        threshold in 2i16..7,
-        spikes in prop::collection::vec(
-            (0u32..16, 0u16..4, 0u16..4),
-            1400..1600,
-        ),
-    ) {
-        let mapping = LayerMapping::conv(
-            MapShape::new(1, 4, 4),
-            4,
-            3,
-            vec![2i8; 4 * 9],
-            LifHardwareParams { leak: 1, threshold },
-        )
-        .unwrap();
-        let mut stream = EventStream::new(4, 4, 1, 16);
-        for (t, x, y) in spikes {
-            stream.push(Event::update(t, 0, x, y)).unwrap();
-        }
-        let mut whole = Engine::new(small_config(2));
-        let expected = whole.run_layer(&mapping, &stream).unwrap();
-
-        for threads in THREADS {
-            let mut chunked = Engine::with_exec(
-                small_config(2),
-                ExecStrategy::threaded(threads),
-            );
-            let mut state = LayerState::new(&small_config(2), &mapping);
-            let mut events = Vec::new();
-            let mut crossed = false;
-            for (i, (start, end)) in [(0, cut), (cut, 16)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                crossed |= chunk.to_op_sequence().len() * 2 >= Engine::MIN_PARALLEL_UNITS;
-                let run = chunked
-                    .run_layer_stateful(&mapping, &chunk, &mut state, i > 0)
-                    .unwrap();
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            prop_assert!(crossed, "no chunk crossed the parallel gate");
-            prop_assert_eq!(&events[..], expected.output.as_slice());
-        }
-    }
-
-    /// Batch level: the `BatchReport` of N lanes driven on worker threads is
-    /// bit-identical to the sequential round-robin runner — per-stream
-    /// results, aggregated stats, makespan and energy.
+    /// Batch level: the `BatchReport` of N lanes, one worker thread each, is
+    /// bit-identical to a one-lane fleet's — per-stream results, aggregated
+    /// stats and energy — and its makespan is no longer.
     #[test]
     fn threaded_batch_reports_are_bit_exact(
-        lanes in 1usize..5,
+        lanes in 2usize..6,
         num_streams in 0usize..7,
         network_seed in 0u64..16,
         stream_seed in 0u64..1000,
@@ -162,34 +41,21 @@ proptest! {
                 )
             })
             .collect();
-        let mut sequential =
-            BatchRunner::new(network.clone(), SneConfig::with_slices(2), lanes).unwrap();
-        let expected = sequential.run(&streams).unwrap();
-        for threads in THREADS {
-            let mut parallel = BatchRunner::with_exec(
-                network.clone(),
-                SneConfig::with_slices(2),
-                lanes,
-                ExecStrategy::threaded(threads),
-            )
-            .unwrap();
-            let report = parallel.run(&streams).unwrap();
-            prop_assert_eq!(&report.results, &expected.results);
-            prop_assert_eq!(report.total_stats, expected.total_stats);
-            prop_assert_eq!(report.lanes, expected.lanes);
-            // Scheduler workers are clamped to the pool size: more workers
-            // than engines would only queue on the pool.
-            prop_assert_eq!(report.threads, threads.min(lanes));
-            prop_assert!((report.makespan_ms - expected.makespan_ms).abs() < 1e-12);
-            prop_assert!((report.total_energy_uj - expected.total_energy_uj).abs() < 1e-12);
-            prop_assert!((report.aggregate_rate - expected.aggregate_rate).abs() < 1e-9
-                || (report.aggregate_rate.is_infinite() && expected.aggregate_rate.is_infinite()));
-        }
+        let mut single = BatchRunner::new(network.clone(), SneConfig::with_slices(2), 1).unwrap();
+        let expected = single.run(&streams).unwrap();
+        let mut fleet = BatchRunner::new(network, SneConfig::with_slices(2), lanes).unwrap();
+        prop_assert_eq!(fleet.scheduler().workers(), lanes);
+        let report = fleet.run(&streams).unwrap();
+        prop_assert_eq!(&report.results, &expected.results);
+        prop_assert_eq!(report.total_stats, expected.total_stats);
+        prop_assert_eq!(report.lanes, lanes);
+        prop_assert!(report.makespan_ms <= expected.makespan_ms + 1e-12);
+        prop_assert!((report.total_energy_uj - expected.total_energy_uj).abs() < 1e-12);
     }
 
     /// The stats reduction is a true merge: associative and independent of
-    /// the order partial stats are combined in — the property the parallel
-    /// fan-out's determinism rests on.
+    /// the order partial stats are combined in — the property the
+    /// slice-order reduction and the fleet's summed reports rest on.
     #[test]
     fn stats_merge_is_associative_and_order_independent(
         a_seed in 0u64..1_000_000,
@@ -244,43 +110,9 @@ proptest! {
 }
 
 #[test]
-fn threaded_sessions_match_sequential_end_to_end() {
-    let network = compiled(5);
-    // Busy enough that the first conv layer crosses the engine's parallel
-    // gate both for whole-sample inference and for every 12-timestep chunk.
-    let stream = sne::proportionality::stream_with_activity((2, 8, 8), 24, 0.5, 42);
-    assert!(stream.to_op_sequence().len() * 2 >= Engine::MIN_PARALLEL_UNITS);
-
-    let mut sequential = InferenceSession::new(network.clone(), SneConfig::with_slices(2)).unwrap();
-    let expected = sequential.infer(&stream).unwrap();
-    for threads in THREADS {
-        let mut session = InferenceSession::with_exec(
-            network.clone(),
-            SneConfig::with_slices(2),
-            ExecStrategy::threaded(threads),
-        )
-        .unwrap();
-        assert_eq!(session.infer(&stream).unwrap(), expected);
-        // Streaming chunks through the threaded session carries state
-        // identically too.
-        session.reset();
-        let mut counts = vec![0u32; 3];
-        for chunk in stream.chunks(12) {
-            assert!(chunk.to_op_sequence().len() * 2 >= Engine::MIN_PARALLEL_UNITS);
-            let out = session.push(&chunk).unwrap();
-            for event in out.output.iter().filter(|e| e.is_spike()) {
-                counts[usize::from(event.ch)] += 1;
-            }
-        }
-        assert_eq!(counts, expected.output_spike_counts);
-    }
-}
-
-#[test]
 fn execution_units_are_send() {
     fn assert_send<T: Send>() {}
-    // The tentpole's structural requirement: every execution unit can move
-    // to a worker thread.
+    // Every execution unit can move to a scheduler worker thread.
     assert_send::<sne_sim::slice::Slice>();
     assert_send::<sne_sim::cluster::ClusterState>();
     assert_send::<LayerState>();

@@ -3,22 +3,22 @@
 //! **bit-exactly** — contribution lists (order included), engine outputs,
 //! cycle statistics and per-timestep profiles — over random conv/dense
 //! geometries, border events, multi-pass layers, stateful chunked resume and
-//! every [`ExecStrategy`]. The naive path is the reference oracle; the plan
-//! is only allowed to move host wall-clock time.
+//! weights resident in or streamed past the filter buffer. The naive path is
+//! the reference oracle; the plan is only allowed to move host wall-clock
+//! time.
 
 use proptest::prelude::*;
 use sne_event::{Event, EventStream};
 use sne_sim::mapping::{LayerMapping, LifHardwareParams, MapShape};
 use sne_sim::plan::LayerPlan;
-use sne_sim::{Engine, ExecStrategy, LayerState, SneConfig};
+use sne_sim::{Engine, LayerState, SneConfig};
 
-/// Every execution strategy the engine supports, sequential first.
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
+/// Filter-buffer size in weight sets, by index: one set streams the weights
+/// of every layer with two or more (conv input channels, dense input
+/// positions) per event; the default holds them resident.
+fn weight_buffer_sets(index: usize) -> usize {
+    [1, SneConfig::default().weight_buffer_sets][index]
+}
 
 fn small_config(num_slices: usize) -> SneConfig {
     SneConfig {
@@ -146,53 +146,60 @@ proptest! {
     }
 
     /// Engine level: a planned layer run — including multi-pass layers and
-    /// every execution strategy — produces the identical [`sne_sim::LayerRunOutput`]
-    /// (output events, stats, per-timestep profile) as the naive run.
+    /// weights streamed per event — produces the identical
+    /// [`sne_sim::LayerRunOutput`] (output events, stats, per-timestep
+    /// profile) as the naive run.
     #[test]
     fn planned_engine_runs_are_bit_exact(
+        in_channels in 2u16..4,
         out_channels in 1u16..11,
         kernel_index in 0usize..2,
         leak in 0i16..3,
         threshold in 1i16..6,
         num_slices in 2usize..4,
+        buffer_index in 0usize..2,
         spikes in prop::collection::vec(
-            (0u32..12, 0u16..4, 0u16..4),
+            (0u32..12, 0u16..4, 0u16..4, 0u16..4),
             30..120,
         ),
         weight_seed in 0u64..1000,
     ) {
         let kernel = [1u16, 3][kernel_index];
         let mapping = conv_mapping(
-            1, 4, 4, out_channels, kernel, weight_seed,
+            in_channels, 4, 4, out_channels, kernel, weight_seed,
             LifHardwareParams { leak, threshold },
         );
         let plan = LayerPlan::build(&mapping);
-        let mut stream = EventStream::new(4, 4, 1, 12);
-        for (t, x, y) in spikes {
-            stream.push(Event::update(t, 0, x, y)).unwrap();
+        let mut stream = EventStream::new(4, 4, in_channels, 12);
+        for (t, ch, x, y) in spikes {
+            stream.push(Event::update(t, ch % in_channels, x, y)).unwrap();
         }
-        let mut naive = Engine::new(small_config(num_slices));
+        let config = SneConfig {
+            weight_buffer_sets: weight_buffer_sets(buffer_index),
+            ..small_config(num_slices)
+        };
+        let mut naive = Engine::new(config);
         let expected = naive.run_layer(&mapping, &stream).unwrap();
         // Layers larger than one pass must exercise the per-pass slice
         // ranges against the shared plan.
-        if usize::from(out_channels) * 16 > small_config(num_slices).total_neurons() {
+        if usize::from(out_channels) * 16 > config.total_neurons() {
             prop_assert!(naive.passes_for(&mapping) > 1);
         }
-        for exec in STRATEGIES {
-            let mut planned = Engine::with_exec(small_config(num_slices), exec);
-            let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
-            prop_assert_eq!(&result.output, &expected.output);
-            prop_assert_eq!(result.stats, expected.stats);
-            prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
-        }
+        let mut planned = Engine::new(config);
+        let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
+        prop_assert_eq!(&result.output, &expected.output);
+        prop_assert_eq!(result.stats, expected.stats);
+        prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
     }
 
-    /// Engine level, dense: the fast weight-row path is bit-exact end to end.
+    /// Engine level, dense: the fast weight-row path is bit-exact end to
+    /// end, with the weights resident or streamed per event.
     #[test]
     fn planned_dense_runs_are_bit_exact(
         outputs in 1u16..40,
         leak in 0i16..3,
         threshold in 1i16..6,
+        buffer_index in 0usize..2,
         spikes in prop::collection::vec(
             (0u32..10, 0u16..4, 0u16..4),
             10..80,
@@ -208,18 +215,20 @@ proptest! {
         for (t, x, y) in spikes {
             stream.push(Event::update(t, 0, x, y)).unwrap();
         }
-        let mut naive = Engine::new(small_config(2));
+        let config = SneConfig {
+            weight_buffer_sets: weight_buffer_sets(buffer_index),
+            ..small_config(2)
+        };
+        let mut naive = Engine::new(config);
         let expected = naive.run_layer(&mapping, &stream).unwrap();
-        for exec in STRATEGIES {
-            let mut planned = Engine::with_exec(small_config(2), exec);
-            let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
-            prop_assert_eq!(result, expected.clone());
-        }
+        let mut planned = Engine::new(config);
+        let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
+        prop_assert_eq!(result, expected);
     }
 
     /// Stateful streaming: pushing chunks through the planned datapath (with
     /// resume) is bit-identical to pushing the same chunks through the naive
-    /// datapath, for any cut point, leaky multi-pass layer and strategy —
+    /// datapath, for any cut point and leaky multi-pass layer —
     /// membrane state, TLU bookkeeping and deferred leak all carry across
     /// chunk boundaries identically. (Chunked and *whole* runs agree as
     /// per-timestep event multisets but not always in within-timestep
@@ -263,24 +272,22 @@ proptest! {
             }));
         }
 
-        for exec in STRATEGIES {
-            let mut chunked = Engine::with_exec(small_config(2), exec);
-            let mut state = LayerState::new(&small_config(2), &mapping);
-            let mut events = Vec::new();
-            for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                let run = chunked
-                    .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
-                    .unwrap();
-                prop_assert_eq!(run.stats, expected_stats[i]);
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            prop_assert_eq!(&events[..], &expected_events[..]);
-            prop_assert_eq!(&state, &oracle_state);
+        let mut chunked = Engine::new(small_config(2));
+        let mut state = LayerState::new(&small_config(2), &mapping);
+        let mut events = Vec::new();
+        for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
+            let chunk = stream.window(start, end);
+            let run = chunked
+                .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
+                .unwrap();
+            prop_assert_eq!(run.stats, expected_stats[i]);
+            events.extend(run.output.into_events().into_iter().map(|e| Event {
+                t: e.t + start,
+                ..e
+            }));
         }
+        prop_assert_eq!(&events[..], &expected_events[..]);
+        prop_assert_eq!(&state, &oracle_state);
     }
 }
 

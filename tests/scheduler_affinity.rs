@@ -8,7 +8,7 @@
 use sne::batch::{EnginePool, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::{ExecStrategy, RuntimeArtifact};
+use sne::RuntimeArtifact;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
@@ -27,9 +27,8 @@ fn stream(timesteps: u32, seed: u64) -> EventStream {
 fn fixture(lanes: usize, seed: u64) -> (Arc<RuntimeArtifact>, Arc<EnginePool>, Scheduler) {
     let network = Arc::new(compiled(seed));
     let artifact = Arc::new(RuntimeArtifact::new(network, SneConfig::with_slices(2)).unwrap());
-    let pool =
-        Arc::new(EnginePool::new(Arc::clone(&artifact), lanes, ExecStrategy::Sequential).unwrap());
-    let scheduler = Scheduler::new(Arc::clone(&pool), lanes);
+    let pool = Arc::new(EnginePool::new(Arc::clone(&artifact), lanes).unwrap());
+    let scheduler = Scheduler::new(Arc::clone(&pool));
     (artifact, pool, scheduler)
 }
 

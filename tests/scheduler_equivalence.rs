@@ -1,28 +1,19 @@
 //! The dynamic scheduler's contract: serving a work queue over a pool of
-//! engines with any number of workers must yield **exactly** the results of
-//! the statically round-robin-pinned sequential runner — per-stream results in input order (a statement strictly stronger
-//! than multiset equality), aggregated stats, modelled makespan and energy,
-//! and the same deterministic error choice — for every [`ExecStrategy`].
+//! engines, one worker thread per engine, must yield **exactly** the results
+//! of the statically round-robin-pinned sequential runner — per-stream
+//! results in input order (a statement strictly stronger than multiset
+//! equality), aggregated stats, modelled makespan and energy, and the same
+//! deterministic error choice — for every fleet size.
 
 use proptest::prelude::*;
 use sne::batch::{BatchRunner, EnginePool, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::ExecStrategy;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
 use sne_sim::SneConfig;
 use std::sync::Arc;
-
-/// The strategies every property is checked against (the sequential runner
-/// is always the oracle's driver).
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
 
 fn compiled(seed: u64) -> CompiledNetwork {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -43,10 +34,10 @@ fn workload(count: usize, seed: u64) -> Vec<EventStream> {
 }
 
 proptest! {
-    /// For any fleet size, stream count and strategy, the dynamic
-    /// scheduler's report carries the identical result vector (input order,
-    /// hence identical multiset) and identical deterministic aggregates as
-    /// the round-robin oracle.
+    /// For any fleet size and stream count, the dynamic scheduler's report
+    /// carries the identical result vector (input order, hence identical
+    /// multiset) and identical deterministic aggregates as the round-robin
+    /// oracle.
     #[test]
     fn dynamic_scheduler_equals_round_robin_for_every_strategy(
         lanes in 1usize..5,
@@ -60,26 +51,17 @@ proptest! {
         let mut oracle =
             BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         let expected = oracle.run_round_robin(&streams).unwrap();
-        for exec in STRATEGIES {
-            let mut runner = BatchRunner::with_exec(
-                Arc::clone(&network),
-                SneConfig::with_slices(2),
-                lanes,
-                exec,
-            )
-            .unwrap();
-            let dynamic = runner.run(&streams).unwrap();
-            prop_assert_eq!(&dynamic.results, &expected.results);
-            prop_assert_eq!(dynamic.total_stats, expected.total_stats);
-            prop_assert_eq!(dynamic.lanes, expected.lanes);
-            prop_assert!((dynamic.makespan_ms - expected.makespan_ms).abs() < 1e-12);
-            prop_assert!((dynamic.total_energy_uj - expected.total_energy_uj).abs() < 1e-12);
-            prop_assert!(
-                (dynamic.aggregate_rate - expected.aggregate_rate).abs() < 1e-9
-                    || (dynamic.aggregate_rate.is_infinite()
-                        && expected.aggregate_rate.is_infinite())
-            );
-        }
+        let dynamic = oracle.run(&streams).unwrap();
+        prop_assert_eq!(&dynamic.results, &expected.results);
+        prop_assert_eq!(dynamic.total_stats, expected.total_stats);
+        prop_assert_eq!(dynamic.lanes, expected.lanes);
+        prop_assert!((dynamic.makespan_ms - expected.makespan_ms).abs() < 1e-12);
+        prop_assert!((dynamic.total_energy_uj - expected.total_energy_uj).abs() < 1e-12);
+        prop_assert!(
+            (dynamic.aggregate_rate - expected.aggregate_rate).abs() < 1e-9
+                || (dynamic.aggregate_rate.is_infinite()
+                    && expected.aggregate_rate.is_infinite())
+        );
     }
 
     /// Incremental submission (requests arriving one by one, drained at the
@@ -94,13 +76,8 @@ proptest! {
     ) {
         let network = Arc::new(compiled(3));
         let streams = workload(num_streams, stream_seed);
-        let mut runner = BatchRunner::with_exec(
-            Arc::clone(&network),
-            SneConfig::with_slices(2),
-            lanes,
-            ExecStrategy::threaded(lanes),
-        )
-        .unwrap();
+        let mut runner =
+            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         let closed = runner.run(&streams).unwrap();
 
         for stream in &streams {
@@ -133,10 +110,8 @@ proptest! {
         lanes in 2usize..5,
         jobs_per_lane in 2usize..4,
         chunk_len in 6u32..13,
-        exec_index in 0usize..4,
         stream_seed in 0u64..500,
     ) {
-        let exec = STRATEGIES[exec_index];
         let network = Arc::new(compiled(7));
         let count = lanes * jobs_per_lane;
         let streams: Vec<EventStream> = (0..count)
@@ -149,13 +124,8 @@ proptest! {
                 )
             })
             .collect();
-        let mut runner = BatchRunner::with_exec(
-            Arc::clone(&network),
-            SneConfig::with_slices(2),
-            lanes,
-            exec,
-        )
-        .unwrap();
+        let mut runner =
+            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         // Warmup: the first batch pays worker-thread startup; the paced
         // phase below runs on the steady-state fleet.
         let _ = runner.run(&streams).unwrap();
@@ -188,9 +158,9 @@ proptest! {
         }
     }
 
-    /// Error choice is deterministic: whatever the strategy or arrival
-    /// order, the batch reports the error of the lowest-numbered failing
-    /// stream — the same one the round-robin oracle picks.
+    /// Error choice is deterministic: whatever the arrival order, the batch
+    /// reports the error of the lowest-numbered failing stream — the same
+    /// one the round-robin oracle picks.
     #[test]
     fn error_choice_matches_the_round_robin_oracle(
         lanes in 1usize..4,
@@ -204,16 +174,7 @@ proptest! {
         let mut oracle =
             BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         let expected = oracle.run_round_robin(&streams).unwrap_err();
-        for exec in STRATEGIES {
-            let mut runner = BatchRunner::with_exec(
-                Arc::clone(&network),
-                SneConfig::with_slices(2),
-                lanes,
-                exec,
-            )
-            .unwrap();
-            prop_assert_eq!(runner.run(&streams).unwrap_err(), expected.clone());
-        }
+        prop_assert_eq!(oracle.run(&streams).unwrap_err(), expected);
     }
 }
 
@@ -230,11 +191,10 @@ fn concurrent_callers_get_dedicated_session_results() {
                 sne::RuntimeArtifact::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap(),
             ),
             3,
-            ExecStrategy::Sequential,
         )
         .unwrap(),
     );
-    let scheduler = Arc::new(Scheduler::new(Arc::clone(&pool), 3));
+    let scheduler = Arc::new(Scheduler::new(Arc::clone(&pool)));
     let records: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .iter()

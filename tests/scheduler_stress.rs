@@ -10,19 +10,12 @@ use rand::{Rng, SeedableRng};
 use sne::batch::{BatchRunner, EnginePool, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::{ExecStrategy, RuntimeArtifact};
+use sne::RuntimeArtifact;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
 use sne_sim::SneConfig;
 use std::sync::Arc;
-
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
 
 fn compiled(seed: u64) -> CompiledNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -48,10 +41,8 @@ fn seeded_call_storm_matches_dedicated_sessions() {
         let artifact = Arc::new(
             RuntimeArtifact::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap(),
         );
-        let pool = Arc::new(
-            EnginePool::new(Arc::clone(&artifact), lanes, ExecStrategy::Sequential).unwrap(),
-        );
-        let scheduler = Arc::new(Scheduler::new(Arc::clone(&pool), lanes));
+        let pool = Arc::new(EnginePool::new(Arc::clone(&artifact), lanes).unwrap());
+        let scheduler = Arc::new(Scheduler::new(Arc::clone(&pool)));
         let threads = 4usize;
         let per_thread_calls = 3usize;
         let completed: usize = std::thread::scope(|scope| {
@@ -132,10 +123,8 @@ fn seeded_runner_op_fuzz_replays_sequentially() {
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(900 + seed);
         let lanes = rng.gen_range(1..=3);
-        let exec = STRATEGIES[rng.gen_range(0..STRATEGIES.len())];
         let mut runner =
-            BatchRunner::with_exec(Arc::clone(&network), SneConfig::with_slices(2), lanes, exec)
-                .unwrap();
+            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         let mut pending: Vec<usize> = Vec::new();
         let mut last_id: Option<u64> = None;
         for _ in 0..20 {
@@ -200,15 +189,9 @@ fn shutdown_mid_steal_loses_nothing() {
         let lanes = rng.gen_range(2..=4);
         let backlog = rng.gen_range(5..16);
         let pool = Arc::new(
-            EnginePool::for_network(
-                (*network).clone(),
-                SneConfig::with_slices(2),
-                lanes,
-                ExecStrategy::Sequential,
-            )
-            .unwrap(),
+            EnginePool::for_network((*network).clone(), SneConfig::with_slices(2), lanes).unwrap(),
         );
-        let mut scheduler = Scheduler::new(Arc::clone(&pool), lanes);
+        let mut scheduler = Scheduler::new(Arc::clone(&pool));
         let streams = workload(backlog, 7000 + seed);
         for stream in &streams {
             let _ = scheduler.submit(stream.clone());

@@ -16,11 +16,11 @@ use proptest::prelude::*;
 use sne::artifact::{ClientState, RuntimeArtifact};
 use sne::compile::CompiledNetwork;
 use sne::sne_store::{fnv1a, StoreError, FORMAT_VERSION, HEADER_LEN};
-use sne::{ExecStrategy, SneError};
+use sne::SneError;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
-use sne_sim::SneConfig;
+use sne_sim::{ExecStrategy, SneConfig};
 
 /// Everything that defines the golden snapshot: model seed, engine
 /// configuration, feed seed, and how many chunks were pushed before the
